@@ -18,12 +18,13 @@ cited in the report, not recomputed.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import quadform
-from .discgroup import action_order, induced_action
+from .discgroup import action_order, discriminant_group, induced_action
 from .isometry import (
     char_poly_rank2,
     is_isometry,
@@ -32,15 +33,18 @@ from .isometry import (
 )
 from .lattice import (
     GramLattice,
+    LowDegreeClass,
+    determinant,
     inner,
     is_even,
     is_primitive,
+    multiple_of,
     norm,
     signature,
 )
-from .matrices import Matrix, Vector, mat_vec
-from .oracle import LowDegreeClass, multiple_of
+from .matrices import Matrix, Vector, mat_mul, mat_vec, unimodular_inverse
 
+FORMAT_VERSION = "1"
 DEFAULT_DEGREE_BOUND = 16
 DEFAULT_SEARCH_BOUND = 1000
 POLARIZATION_NORM = 4
@@ -91,6 +95,7 @@ class CertificateReport:
     steps: tuple[StepResult, ...]
     verdict: str  # "pass", "fail" or "unknown"
     notes: tuple[str, ...]
+    timing: dict = field(compare=False)  # step id -> wall time in ms
 
     def step(self, step_id: str) -> StepResult:
         for s in self.steps:
@@ -196,7 +201,7 @@ def enumerate_low_degree(
             "degree window unbounded; lattice violates signature (1,1) "
             "assumptions established by earlier steps"
         )
-    _, x0, y0 = _extended_gcd(w[0], w[1])
+    _, x0, y0 = quadform._extended_gcd(w[0], w[1])
     out = []
     for d in range(1, bound):
         if d % gcd_w != 0:
@@ -226,18 +231,6 @@ def enumerate_low_degree(
             )
     out.sort(key=lambda cls: (cls.degree, cls.coords))
     return out
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def check_S4_low_degree(
@@ -286,8 +279,6 @@ def _isometry_candidates(g: GramLattice) -> list[Matrix]:
         gen = quadform.automorph_generator(f0)
     except ValueError:
         return []
-    from .matrices import unimodular_inverse
-
     swap = ((0, 1), (1, 0))
     base = [gen, unimodular_inverse(gen)]
     candidates = []
@@ -295,18 +286,13 @@ def _isometry_candidates(g: GramLattice) -> list[Matrix]:
         for sign in (1, -1):
             signed = tuple(tuple(sign * x for x in row) for row in m)
             candidates.append(signed)
-            from .matrices import mat_mul
-
             candidates.append(mat_mul(swap, signed))
             candidates.append(mat_mul(signed, swap))
     return candidates
 
 
 def check_S5_isometry(
-    g: GramLattice,
-    h: Vector,
-    m: Optional[Matrix],
-    disc_cap: Optional[int] = None,
+    g: GramLattice, h: Vector, m: Optional[Matrix]
 ) -> StepResult:
     """Infinite-order cone-preserving isometry moving the polarization,
     plus the least n acting trivially on the discriminant group."""
@@ -318,7 +304,7 @@ def check_S5_isometry(
     h_norm, _ = normalize_polarization(h)
     if m is None:
         for candidate in _isometry_candidates(g):
-            result = _validate_isometry(g, h_norm, candidate, disc_cap, citation)
+            result = _validate_isometry(g, h_norm, candidate, citation)
             if result.status == "pass":
                 return result
         return StepResult(
@@ -327,15 +313,11 @@ def check_S5_isometry(
             citation,
             witness="no qualifying isometry found among automorph candidates",
         )
-    return _validate_isometry(g, h_norm, m, disc_cap, citation)
+    return _validate_isometry(g, h_norm, m, citation)
 
 
 def _validate_isometry(
-    g: GramLattice,
-    h: Vector,
-    m: Matrix,
-    disc_cap: Optional[int],
-    citation: str,
+    g: GramLattice, h: Vector, m: Matrix, citation: str
 ) -> StepResult:
     if not is_isometry(g, m):
         return StepResult(
@@ -369,7 +351,7 @@ def _validate_isometry(
             "S5", "fail", citation, witness="; ".join(problems), details=details
         )
     action = induced_action(g, m)
-    n = action_order(action, disc_cap)
+    n = action_order(action)
     if n is None:
         details["disc_action_order"] = None
         return StepResult("S5", "unknown", citation, details=details)
@@ -379,33 +361,36 @@ def _validate_isometry(
 
 
 def run_certificate(inp: CertificateInput) -> CertificateReport:
-    """Run S1-S5 in order; the first fail fixes the verdict and the
-    remaining steps are reported as skipped."""
-    steps: list[StepResult] = []
-    blocked = False
-
-    def push(result: StepResult) -> bool:
-        steps.append(result)
-        return result.status == "pass"
-
-    checks = [
-        lambda: check_S1_lattice(inp.gram),
-        lambda: check_S2_no_0_minus2(inp.gram, inp.search_bound),
-        lambda: check_S3_polarization(inp.gram, inp.polarization),
-        lambda: check_S4_low_degree(
-            inp.gram, inp.polarization, inp.degree_bound
+    """Run S1-S5 in order, timing each step; the first step that does
+    not pass blocks the rest, which are reported as skipped."""
+    # Step functions are looked up at call time, so rebinding a module
+    # attribute (as a tracer does) takes effect.
+    checks = (
+        ("S1", lambda: check_S1_lattice(inp.gram)),
+        ("S2", lambda: check_S2_no_0_minus2(inp.gram, inp.search_bound)),
+        ("S3", lambda: check_S3_polarization(inp.gram, inp.polarization)),
+        (
+            "S4",
+            lambda: check_S4_low_degree(
+                inp.gram, inp.polarization, inp.degree_bound
+            ),
         ),
-        lambda: check_S5_isometry(inp.gram, inp.polarization, inp.isometry),
-    ]
-    ids = ("S1", "S2", "S3", "S4", "S5")
-    for step_id, check in zip(ids, checks):
-        if blocked:
-            steps.append(
-                StepResult(step_id, "skipped", citation="", details={})
-            )
+        (
+            "S5",
+            lambda: check_S5_isometry(
+                inp.gram, inp.polarization, inp.isometry
+            ),
+        ),
+    )
+    steps: list[StepResult] = []
+    timing = {}
+    for step_id, check in checks:
+        if steps and steps[-1].status != "pass":
+            steps.append(StepResult(step_id, "skipped", citation=""))
             continue
-        if not push(check()):
-            blocked = True
+        start = time.perf_counter()
+        steps.append(check())
+        timing[step_id] = round((time.perf_counter() - start) * 1000, 3)
     statuses = {s.status for s in steps}
     if statuses == {"pass"}:
         verdict = "pass"
@@ -414,5 +399,39 @@ def run_certificate(inp: CertificateInput) -> CertificateReport:
     else:
         verdict = "unknown"
     return CertificateReport(
-        steps=tuple(steps), verdict=verdict, notes=CITED_STEPS
+        steps=tuple(steps), verdict=verdict, notes=CITED_STEPS, timing=timing
     )
+
+
+def report_document(
+    inp: CertificateInput, report: CertificateReport
+) -> dict:
+    """The JSON-ready report document (format FORMAT_VERSION) that
+    `latcert check --format json` prints, without the --verify block."""
+    s5 = report.step("S5").details
+    return {
+        "format_version": FORMAT_VERSION,
+        "verdict": report.verdict,
+        "steps": [
+            {
+                "id": s.id,
+                "status": s.status,
+                "witness": s.witness,
+                "citation": s.citation,
+                "details": s.details,
+            }
+            for s in report.steps
+        ],
+        "derived": {
+            "det": determinant(inp.gram),
+            "signature": list(report.step("S1").details["signature"]),
+            "invariant_factors": list(
+                discriminant_group(inp.gram).invariant_factors
+            ),
+            "disc_action_order": s5.get("disc_action_order"),
+            "char_poly": s5.get("char_poly"),
+            "dominant_root": s5.get("dominant_root"),
+        },
+        "notes": list(report.notes),
+        "timing": report.timing,
+    }

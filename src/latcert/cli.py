@@ -10,33 +10,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Optional
 
 from . import __version__
 from .certificate import (
     CertificateInput,
-    check_S1_lattice,
-    check_S2_no_0_minus2,
-    check_S3_polarization,
-    check_S4_low_degree,
-    check_S5_isometry,
-    CITED_STEPS,
+    CertificateReport,
+    normalize_polarization,
+    report_document,
+    run_certificate,
 )
 from .discgroup import discriminant_group
 from .isometry import char_poly_rank2, polarization_orbit
-from .lattice import GramLattice, determinant, signature
+from .lattice import GramLattice, norm
 from .matrices import from_rows
 from .oracle import (
     DEFAULT_BOX_RADIUS,
     brute_action_order,
     brute_low_degree,
-    brute_pell,
     brute_values,
 )
 from .quadform import pell_fundamental
-
-FORMAT_VERSION = "1"
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -109,144 +103,58 @@ def _require_int_vector(value, name: str) -> None:
 
 
 def _build_input(doc: dict, degree_bound: Optional[int]) -> CertificateInput:
-    gram = GramLattice.from_rows(doc["gram"])
-    isom = from_rows(doc["isometry"]) if doc.get("isometry") else None
+    """The certificate input of a document. A degree bound given on the
+    command line overrides the document's; absent fields take the
+    CertificateInput defaults."""
+    bounds = {k: doc[k] for k in ("degree_bound", "search_bound") if k in doc}
+    if degree_bound is not None:
+        bounds["degree_bound"] = degree_bound
     return CertificateInput(
-        gram=gram,
+        gram=GramLattice.from_rows(doc["gram"]),
         polarization=tuple(doc["polarization"]),
-        isometry=isom,
-        degree_bound=degree_bound or doc.get("degree_bound", 16),
-        search_bound=doc.get("search_bound", 1000),
+        isometry=from_rows(doc["isometry"]) if doc.get("isometry") else None,
+        **bounds,
     )
 
 
-def _derived_block(inp: CertificateInput, steps: list) -> dict:
-    g = inp.gram
-    sig = signature(g)
-    derived = {
-        "det": determinant(g),
-        "signature": [sig.positive, sig.negative],
-        "invariant_factors": list(discriminant_group(g).invariant_factors),
-        "disc_action_order": None,
-        "char_poly": None,
-        "dominant_root": None,
-    }
-    for s in steps:
-        if s["id"] == "S5" and s["details"]:
-            derived["disc_action_order"] = s["details"].get("disc_action_order")
-            derived["char_poly"] = s["details"].get("char_poly")
-            derived["dominant_root"] = s["details"].get("dominant_root")
-    return derived
-
-
-def _run_check(inp: CertificateInput, verify: bool, box_radius: int) -> dict:
-    steps = []
-    timing = {}
-    blocked = False
-    checks = (
-        ("S1", lambda: check_S1_lattice(inp.gram)),
-        ("S2", lambda: check_S2_no_0_minus2(inp.gram, inp.search_bound)),
-        ("S3", lambda: check_S3_polarization(inp.gram, inp.polarization)),
-        (
-            "S4",
-            lambda: check_S4_low_degree(
-                inp.gram, inp.polarization, inp.degree_bound
-            ),
-        ),
-        (
-            "S5",
-            lambda: check_S5_isometry(
-                inp.gram, inp.polarization, inp.isometry
-            ),
-        ),
-    )
-    for step_id, check in checks:
-        if blocked:
-            steps.append(
-                {
-                    "id": step_id,
-                    "status": "skipped",
-                    "witness": None,
-                    "citation": "",
-                    "details": {},
-                }
-            )
-            continue
-        start = time.perf_counter()
-        result = check()
-        timing[step_id] = round((time.perf_counter() - start) * 1000, 3)
-        steps.append(
-            {
-                "id": result.id,
-                "status": result.status,
-                "witness": result.witness,
-                "citation": result.citation,
-                "details": result.details,
-            }
-        )
-        if result.status != "pass":
-            blocked = True
-    statuses = {s["status"] for s in steps}
-    if statuses == {"pass"}:
-        verdict = "pass"
-    elif "fail" in statuses:
-        verdict = "fail"
-    else:
-        verdict = "unknown"
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "verdict": verdict,
-        "steps": steps,
-        "derived": _derived_block(inp, steps),
-        "notes": list(CITED_STEPS),
-        "timing": timing,
-    }
-    if verify:
-        doc["verify"] = _run_verify(inp, steps, box_radius)
-        if any(v["status"] == "mismatch" for v in doc["verify"].values()):
-            doc["verdict"] = "fail"
-    return doc
-
-
-def _run_verify(inp: CertificateInput, steps: list, box_radius: int) -> dict:
+def _run_verify(
+    inp: CertificateInput, report: CertificateReport, box_radius: int
+) -> dict:
     """Cross-check the pipeline against the brute-force oracles."""
     g = inp.gram
     out = {}
-    by_id = {s["id"]: s for s in steps}
 
     if g.rank == 2:
         values = brute_values(g, box_radius)
         oracle_hits = {t: values[t] for t in (0, -2) if t in values}
-        s2 = by_id["S2"]["status"]
-        agree = (s2 == "pass") == (not oracle_hits) or s2 in (
-            "skipped",
-            "unknown",
-        ) and not oracle_hits or s2 == "fail" and bool(oracle_hits)
+        s2 = report.step("S2")
+        # A box scan can only refute a pass; a pipeline witness must
+        # have its target norm wherever it lies.
+        agree = not (oracle_hits and s2.status == "pass") and all(
+            norm(g, w["vector"]) == w["target"] for w in s2.witness or ()
+        )
         out["values_box_scan"] = {
             "status": "agree" if agree else "mismatch",
             "box_radius": box_radius,
             "witnesses": {str(t): list(v) for t, v in oracle_hits.items()},
         }
 
-    s4 = by_id["S4"]
-    if s4["status"] in ("pass", "fail"):
-        oracle_classes = brute_low_degree(
-            g, tuple(inp.polarization), inp.degree_bound
-        )
-        pipeline = {
-            tuple(c["coords"]) for c in s4["details"].get("classes", [])
-        }
+    s4 = report.step("S4")
+    if s4.status in ("pass", "fail"):
+        h, _ = normalize_polarization(inp.polarization)
+        oracle_classes = brute_low_degree(g, h, inp.degree_bound)
+        pipeline = {tuple(c["coords"]) for c in s4.details["classes"]}
         oracle_set = {c.coords for c in oracle_classes}
         out["low_degree_enumeration"] = {
             "status": "agree" if pipeline == oracle_set else "mismatch",
             "count": len(oracle_set),
         }
 
-    s5 = by_id["S5"]
-    if s5["status"] == "pass" and s5["details"].get("isometry"):
-        m = from_rows(s5["details"]["isometry"])
+    s5 = report.step("S5")
+    if s5.status == "pass" and s5.details.get("isometry"):
+        m = from_rows(s5.details["isometry"])
         n_oracle = brute_action_order(g, m)
-        n_pipeline = s5["details"].get("disc_action_order")
+        n_pipeline = s5.details.get("disc_action_order")
         out["disc_action_order"] = {
             "status": "agree" if n_oracle == n_pipeline else "mismatch",
             "oracle": n_oracle,
@@ -282,11 +190,16 @@ def _emit(doc: dict, fmt: str) -> None:
 def cmd_check(args) -> int:
     doc = load_document(args.path)
     inp = _build_input(doc, args.degree_bound)
-    box_radius = doc.get("box_radius", DEFAULT_BOX_RADIUS)
-    report = _run_check(inp, args.verify, box_radius)
-    _emit(report, args.format)
+    report = run_certificate(inp)
+    out = report_document(inp, report)
+    if args.verify:
+        box_radius = doc.get("box_radius", DEFAULT_BOX_RADIUS)
+        out["verify"] = _run_verify(inp, report, box_radius)
+        if any(v["status"] == "mismatch" for v in out["verify"].values()):
+            out["verdict"] = "fail"
+    _emit(out, args.format)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "unknown": EXIT_UNKNOWN}[
-        report["verdict"]
+        out["verdict"]
     ]
 
 
@@ -358,11 +271,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    doc = load_document(args.path)
-    g = GramLattice.from_rows(doc["gram"])
-    h = tuple(doc["polarization"])
-    bound = args.bound or doc.get("degree_bound", 16)
-    classes = brute_low_degree(g, h, bound)
+    inp = _build_input(load_document(args.path), args.bound)
+    classes = brute_low_degree(inp.gram, inp.polarization, inp.degree_bound)
     if args.format == "json":
         print(
             json.dumps(

@@ -14,7 +14,6 @@ from .matrices import (
     det,
     identity,
     mat_mul,
-    mat_pow,
     mat_vec,
     transpose,
 )
@@ -134,13 +133,3 @@ def polarization_orbit(
         v = mat_vec(m, v)
     return out
 
-
-def inverse_isometry(m: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    from .matrices import unimodular_inverse
-
-    return unimodular_inverse(m)
-
-
-def mat_power(m: Matrix, k: int) -> Matrix:
-    return mat_pow(m, k)

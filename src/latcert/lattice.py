@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .matrices import Matrix, Vector, det, from_rows
 
@@ -19,6 +20,16 @@ class DegenerateLatticeError(ValueError):
 class Signature:
     positive: int
     negative: int
+
+
+@dataclass(frozen=True)
+class LowDegreeClass:
+    """A class C of degree inner(C, h) and positive square norm(C)."""
+
+    coords: Vector
+    degree: int
+    square: int
+    multiple_of_h: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -140,3 +151,13 @@ def is_primitive(v: Vector) -> bool:
     if all(x == 0 for x in v):
         raise ValueError("zero vector has no primitivity")
     return math.gcd(*v) == 1
+
+
+def multiple_of(c: Vector, h: Vector) -> Optional[int]:
+    """The integer m with c = m*h, or None."""
+    for m_cand in set(
+        ci // hi for ci, hi in zip(c, h) if hi != 0 and ci % hi == 0
+    ):
+        if all(ci == m_cand * hi for ci, hi in zip(c, h)):
+            return m_cand
+    return None

@@ -7,24 +7,21 @@ small instances; the CLI exposes them behind --verify and `enumerate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .isometry import is_isometry
-from .lattice import GramLattice, inner, norm
-from .matrices import Matrix, Vector, mat_vec
-from .quadform import PellSolution
+from .lattice import GramLattice, LowDegreeClass, inner, multiple_of, norm
+from .matrices import (
+    Matrix,
+    Vector,
+    adjugate,
+    det,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
 
 DEFAULT_BOX_RADIUS = 50
-
-
-@dataclass(frozen=True)
-class LowDegreeClass:
-    coords: Vector
-    degree: int
-    square: int
-    multiple_of_h: Optional[int]
 
 
 def brute_values(g: GramLattice, radius: int) -> dict[int, Vector]:
@@ -130,54 +127,33 @@ def brute_low_degree(
     return out
 
 
-def multiple_of(c: Vector, h: Vector) -> Optional[int]:
-    for m_cand in set(
-        ci // hi for ci, hi in zip(c, h) if hi != 0 and ci % hi == 0
-    ):
-        if all(ci == m_cand * hi for ci, hi in zip(c, h)):
-            return m_cand
-    return None
-
-
-def brute_pell(d: int, y_max: int) -> Optional[PellSolution]:
-    """Smallest y in 1..y_max with d*y^2 + 1 a perfect square, if any."""
+def brute_pell(d: int, y_max: int) -> Optional[tuple[int, int]]:
+    """Smallest (x, y) with y in 1..y_max and x^2 - d*y^2 = 1, if any."""
     if d <= 0 or math.isqrt(d) ** 2 == d:
         raise ValueError("d must be a positive nonsquare")
     for y in range(1, y_max + 1):
         rhs = d * y * y + 1
         x = math.isqrt(rhs)
         if x * x == rhs:
-            return PellSolution(x=x, y=y, D=d, N=1)
+            return x, y
     return None
 
 
-def brute_action_order(
-    g: GramLattice, m: Matrix, cap: Optional[int] = None
-) -> Optional[int]:
-    """Least n with m^n acting trivially on L*/L, found by pushing the
-    explicit dual generators through m until every class returns to
-    itself. Independent of the structured action machinery."""
-    from .discgroup import discriminant_group
-
-    if not is_isometry(g, m):
+def brute_action_order(g: GramLattice, m: Matrix) -> Optional[int]:
+    """Least n <= |det G| with m^n acting trivially on L*/L, i.e. with
+    m^n adj(G) = adj(G) mod |det G|, because L* = adj(G) Z^r / det G.
+    Independent of the structured action machinery."""
+    if mat_mul(transpose(m), mat_mul(g.entries, m)) != g.entries:
         raise ValueError("matrix is not an isometry")
-    group = discriminant_group(g)
-    if group.is_trivial:
-        return 1
-    if cap is None:
-        cap = group.order
-    current = [tuple(Fraction(x) for x in w) for w in group.generators]
-    for n in range(1, cap + 1):
-        current = [
-            tuple(
-                sum(Fraction(m[i][j]) * w[j] for j in range(g.rank))
-                for i in range(g.rank)
-            )
-            for w in current
-        ]
-        if all(
-            all((wi - oi).denominator == 1 for wi, oi in zip(w, orig))
-            for w, orig in zip(current, group.generators)
-        ):
+    mod = abs(det(g.entries))
+
+    def reduce(a: Matrix) -> Matrix:
+        return tuple(tuple(x % mod for x in row) for row in a)
+
+    adj = reduce(adjugate(g.entries))
+    image = adj
+    for n in range(1, mod + 1):
+        image = reduce(mat_mul(m, image))
+        if image == adj:
             return n
     return None

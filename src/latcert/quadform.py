@@ -127,9 +127,9 @@ def pell_fundamental(d: int) -> PellSolution:
     return PellSolution(x=p_cur, y=q_cur, D=d, N=1)
 
 
-def _congruence_blocks(f: BinaryForm, t: int, moduli) -> bool:
-    """True if some modulus rules out f(x, y) = t."""
-    for k in moduli:
+def _congruence_blocks(f: BinaryForm, t: int) -> bool:
+    """True if some modulus in DEFAULT_MODULI rules out f(x, y) = t."""
+    for k in DEFAULT_MODULI:
         attained = {
             f.evaluate(x, y) % k for x in range(k) for y in range(k)
         }
@@ -251,14 +251,13 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
 
 def represents_value(
-    g: GramLattice,
-    t: int,
-    search_bound: int = 1000,
-    moduli=DEFAULT_MODULI,
+    g: GramLattice, t: int, search_bound: int = 1000
 ) -> Representation:
     """Decide whether the rank-2 lattice g represents the integer t.
 
@@ -279,7 +278,7 @@ def represents_value(
     cont = content(f)
     if t % cont != 0:
         return Representation(status="no", reason=REASON_CONTENT)
-    if _congruence_blocks(f, t, moduli):
+    if _congruence_blocks(f, t):
         return Representation(status="no", reason=REASON_CONGRUENCE)
     f0 = BinaryForm(f.a // cont, f.b // cont, f.c // cont)
     t0 = t // cont
@@ -321,7 +320,7 @@ def _decide_primitive(
             return Representation(status="yes", witness=(x, y))
         return r
     # fall back to a direct witness scan before answering "unknown"
-    box = min(max(50, 1), search_bound)
+    box = min(50, search_bound)
     for x in range(-box, box + 1):
         for y in range(-box, box + 1):
             if f0.evaluate(x, y) == t0:

@@ -130,7 +130,7 @@ def test_criterion_6_pell_kernel():
         if oracle is None:
             continue
         sol = pell_fundamental(d)
-        assert (sol.x, sol.y) == (oracle.x, oracle.y), f"D={d}"
+        assert (sol.x, sol.y) == oracle, f"D={d}"
     _report(6, "Pell kernel agrees with brute force for D <= 60", start, limit=5.0)
 
 

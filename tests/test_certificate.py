@@ -10,8 +10,8 @@ from latcert.certificate import (
     enumerate_low_degree,
     run_certificate,
 )
-from latcert.isometry import inverse_isometry
-from latcert.lattice import GramLattice, norm
+from latcert.lattice import GramLattice, inner, norm
+from latcert.matrices import unimodular_inverse
 from latcert.oracle import brute_low_degree
 
 
@@ -94,6 +94,18 @@ class TestS4:
             positive = 1 - 24 * n * n > 0
             assert (norm(paper_lattice, (m, n)) > 0) == positive
 
+    @pytest.mark.parametrize(
+        "gram", [[[4, -2], [-2, -14]], [[4, -3], [-3, -14]], [[4, 2], [2, -14]]]
+    )
+    def test_negative_pairing_matches_oracle(self, gram):
+        # h = (1, 0) pairs to G*h = (4, b); with b < 0 every listed class
+        # must still have positive degree.
+        g = GramLattice.from_rows(gram)
+        pipeline = enumerate_low_degree(g, (1, 0), 16)
+        oracle = brute_low_degree(g, (1, 0), 16)
+        assert pipeline == oracle
+        assert all(inner(g, c.coords, (1, 0)) == c.degree for c in pipeline)
+
     @pytest.mark.parametrize("bound", [4, 8, 12, 16, 24])
     def test_matches_oracle(self, paper_lattice, bound):
         pipeline = enumerate_low_degree(paper_lattice, (1, 0), bound)
@@ -153,6 +165,13 @@ class TestRunCertificate:
         assert report.step("S4").status == "skipped"
         assert report.step("S5").status == "skipped"
 
+    def test_timing_covers_steps_that_ran(self, paper_lattice):
+        report = run_certificate(
+            CertificateInput(gram=paper_lattice, polarization=(2, 0))
+        )
+        assert list(report.timing) == ["S1", "S2", "S3"]
+        assert all(ms >= 0 for ms in report.timing.values())
+
     def test_hyperbolic_plane_fails_at_s2(self):
         g = GramLattice.from_rows([[0, 1], [1, 0]])
         report = run_certificate(CertificateInput(gram=g, polarization=(1, 1)))
@@ -179,7 +198,7 @@ class TestRunCertificate:
             CertificateInput(
                 gram=paper_lattice,
                 polarization=(1, 0),
-                isometry=inverse_isometry(sigma),
+                isometry=unimodular_inverse(sigma),
             )
         )
         assert report.verdict == "pass"
@@ -199,7 +218,5 @@ class TestRunCertificate:
         report = run_certificate(CertificateInput(gram=g, polarization=(1, 0)))
         witness = report.step("S4").witness
         c = tuple(witness["coords"])
-        from latcert.lattice import inner
-
         assert inner(g, c, (1, 0)) == witness["degree"]
         assert norm(g, c) == witness["square"]

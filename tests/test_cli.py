@@ -2,6 +2,11 @@ import json
 
 import pytest
 
+from latcert.certificate import (
+    CertificateInput,
+    report_document,
+    run_certificate,
+)
 from latcert.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
@@ -9,6 +14,15 @@ from latcert.cli import (
     DocumentError,
     load_document,
     main,
+)
+from latcert.lattice import GramLattice
+from latcert.matrices import from_rows
+
+BUNDLED = (
+    "gizatullin.json",
+    "hyperbolic_plane.json",
+    "minus_two_class.json",
+    "low_degree_control.json",
 )
 
 
@@ -87,6 +101,72 @@ class TestCheck:
         doc = json.loads(out)
         s4 = next(s for s in doc["steps"] if s["id"] == "S4")
         assert s4["details"]["classes"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "gizatullin.json", "--degree-bound", "0"),
+            ("enumerate", "gizatullin.json", "--bound", "0"),
+            ("enumerate", "gizatullin.json", "--bound", "-1"),
+        ],
+    )
+    def test_nonpositive_bound_flag_rejected(self, capsys, data_dir, argv):
+        cmd, name, *flags = argv
+        code, _, err = run_cli(capsys, cmd, str(data_dir / name), *flags)
+        assert code == EXIT_ERROR
+        assert "degree_bound must be >= 1" in err
+
+
+class TestVerify:
+    def _check_verify(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(
+            capsys, "check", str(path), "--verify", "--format", "json"
+        )
+        return code, json.loads(out)
+
+    def test_s2_witness_outside_box_agrees(self, capsys, tmp_path):
+        # S2 fails with (-29718, 3805), far outside the radius-50 box.
+        doc = {
+            "gram": [[2, 0], [0, -122]],
+            "polarization": [1, 0],
+            "search_bound": 5000,
+        }
+        code, report = self._check_verify(capsys, tmp_path, doc)
+        assert code == EXIT_FAIL
+        s2 = report["steps"][1]
+        assert s2["status"] == "fail"
+        assert s2["witness"] == [{"target": -2, "vector": [-29718, 3805]}]
+        assert report["verify"]["values_box_scan"]["status"] == "agree"
+
+    def test_negated_polarization_agrees(self, capsys, tmp_path):
+        doc = {
+            "gram": [[4, 20], [20, 4]],
+            "polarization": [-1, 0],
+            "isometry": [[10, 1], [-1, 0]],
+        }
+        code, report = self._check_verify(capsys, tmp_path, doc)
+        assert code == EXIT_PASS
+        assert report["verdict"] == "pass"
+        assert all(v["status"] == "agree" for v in report["verify"].values())
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_library_report_matches_cli_json(capsys, data_dir, name):
+    path = str(data_dir / name)
+    raw = json.loads((data_dir / name).read_text())
+    inp = CertificateInput(
+        gram=GramLattice.from_rows(raw["gram"]),
+        polarization=tuple(raw["polarization"]),
+        isometry=from_rows(raw["isometry"]) if raw.get("isometry") else None,
+        **{k: raw[k] for k in ("degree_bound", "search_bound") if k in raw},
+    )
+    library = json.loads(json.dumps(report_document(inp, run_certificate(inp))))
+    _, out, _ = run_cli(capsys, "check", path, "--format", "json")
+    cli = json.loads(out)
+    assert set(library.pop("timing")) == set(cli.pop("timing"))
+    assert library == cli
 
 
 class TestDocumentValidation:

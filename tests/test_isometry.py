@@ -6,14 +6,19 @@ from hypothesis import strategies as st
 
 from latcert.isometry import (
     char_poly_rank2,
-    inverse_isometry,
     is_isometry,
     order,
     polarization_orbit,
     preserves_positive_cone,
 )
 from latcert.lattice import GramLattice, inner, norm
-from latcert.matrices import identity, mat_mul, mat_pow, mat_vec
+from latcert.matrices import (
+    identity,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+    unimodular_inverse,
+)
 
 from .conftest import small_vectors
 
@@ -49,11 +54,11 @@ class TestIsIsometry:
         assert norm(g, mat_vec(m, v)) == norm(g, v)
 
     def test_group_closure(self, paper_lattice, sigma):
-        cases = [sigma, SWAP, NEG_I, inverse_isometry(sigma)]
+        cases = [sigma, SWAP, NEG_I, unimodular_inverse(sigma)]
         for a in cases:
             for b in cases:
                 assert is_isometry(paper_lattice, mat_mul(a, b))
-            assert is_isometry(paper_lattice, inverse_isometry(a))
+            assert is_isometry(paper_lattice, unimodular_inverse(a))
 
 
 class TestPositiveCone:

@@ -1,0 +1,60 @@
+"""Structural checks: the oracles stay independent of the pipeline they
+verify, and scripts/reproduce.py keeps its committed output."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "latcert"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "reproduce.txt"
+
+
+def package_imports(module: str) -> set[str]:
+    """Sibling modules that src/latcert/<module>.py imports."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("latcert.")
+            )
+    return out
+
+
+def test_oracle_imports_only_lattice_and_matrices():
+    assert package_imports("oracle") <= {"lattice", "matrices"}
+
+
+def test_certificate_does_not_import_oracle():
+    assert "oracle" not in package_imports("certificate")
+
+
+def test_reproduce_output_matches_golden():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [
+        line.replace(str(ROOT / "data"), "data")
+        for line in proc.stdout.splitlines()
+        if not line.startswith("  timing S")
+    ]
+    assert lines == GOLDEN.read_text().splitlines()

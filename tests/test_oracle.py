@@ -1,7 +1,13 @@
 import pytest
 
 from latcert.lattice import GramLattice
-from latcert.matrices import identity
+from latcert.quadform import (
+    BinaryForm,
+    automorph_generator,
+    content,
+    to_binary_form,
+)
+from latcert.matrices import identity, mat_pow
 from latcert.oracle import (
     brute_action_order,
     brute_low_degree,
@@ -58,12 +64,10 @@ class TestBruteLowDegree:
 
 class TestBrutePell:
     def test_d24(self):
-        sol = brute_pell(24, 10)
-        assert (sol.x, sol.y) == (5, 1)
+        assert brute_pell(24, 10) == (5, 1)
 
     def test_d2(self):
-        sol = brute_pell(2, 10)
-        assert (sol.x, sol.y) == (3, 2)
+        assert brute_pell(2, 10) == (3, 2)
 
     def test_d61_not_found_in_small_range(self):
         assert brute_pell(61, 10) is None
@@ -90,6 +94,20 @@ class TestBruteActionOrder:
         brute = brute_action_order(paper_lattice, sigma)
         structured = action_order(induced_action(paper_lattice, sigma))
         assert brute == structured == 4
+
+    @pytest.mark.parametrize(
+        "gram", [[[4, 20], [20, 4]], [[4, 6], [6, 4]], [[4, 2], [2, -12]]]
+    )
+    def test_automorph_powers_match_structured_path(self, gram):
+        from latcert.discgroup import action_order, induced_action
+
+        g = GramLattice.from_rows(gram)
+        f = to_binary_form(g)
+        c = content(f)
+        gen = automorph_generator(BinaryForm(f.a // c, f.b // c, f.c // c))
+        for k in range(1, 4):
+            m = mat_pow(gen, k)
+            assert brute_action_order(g, m) == action_order(induced_action(g, m))
 
     def test_rejects_non_isometry(self, paper_lattice):
         with pytest.raises(ValueError):

@@ -90,7 +90,7 @@ class TestPellFundamental:
     def test_minimality_against_oracle(self, d):
         sol = pell_fundamental(d)
         oracle = brute_pell(d, sol.y)
-        assert (oracle.x, oracle.y) == (sol.x, sol.y)
+        assert oracle == (sol.x, sol.y)
 
 
 class TestRepresentsValue:
