@@ -15,6 +15,7 @@ from .matrices import (
     from_rows,
     identity,
     mat_mul,
+    mat_vec,
     rational_inverse,
 )
 
@@ -129,10 +130,15 @@ def smith_normal_form(m) -> SmithDecomposition:
 @dataclass(frozen=True)
 class DiscriminantGroup:
     """L*/L of a nondegenerate lattice: cyclic invariant factors (> 1)
-    with dual-vector generators given in exact rational coordinates."""
+    with dual-vector generators given in exact rational coordinates.
+
+    The generator coordinates of a dual class w are coordinates * w,
+    row i taken modulo invariant_factors[i].
+    """
 
     invariant_factors: tuple[int, ...]
     generators: tuple[FracVector, ...]
+    coordinates: Matrix
     gram: GramLattice
 
     @property
@@ -152,19 +158,24 @@ def discriminant_group(g: GramLattice) -> DiscriminantGroup:
     Gram matrix.
 
     With U*G*V = D, the quotient is generated by the columns of
-    (U*G)^(-1); the column at index i has order d_i.
+    (U*G)^(-1); the column at index i has order d_i, and row i of U*G
+    gives the coordinate along it.
     """
     snf = smith_normal_form(g.entries)
-    ug_inv = rational_inverse(mat_mul(snf.U, g.entries))
+    ug = mat_mul(snf.U, g.entries)
+    ug_inv = rational_inverse(ug)
     factors = []
     gens = []
+    rows = []
     for i, d in enumerate(snf.diagonal):
         if d > 1:
             factors.append(d)
             gens.append(tuple(ug_inv[r][i] for r in range(g.rank)))
+            rows.append(ug[i])
     return DiscriminantGroup(
         invariant_factors=tuple(factors),
         generators=tuple(gens),
+        coordinates=from_rows(rows),
         gram=g,
     )
 
@@ -233,29 +244,19 @@ class DiscAction:
 def induced_action(g: GramLattice, m: Matrix) -> DiscAction:
     """The map induced by the isometry m on the discriminant generators.
 
-    Generator coordinates of a dual class w are (U*G*w) mod the
-    invariant factors, so the action matrix column j is U*G*(m*w_j).
+    Column j of the action matrix is the generator coordinates of the
+    class of m*w_j.
     """
     if not is_isometry(g, m):
         raise ValueError("matrix is not an isometry of the lattice")
     group = discriminant_group(g)
-    snf = smith_normal_form(g.entries)
-    ug = mat_mul(snf.U, g.entries)
-    nontrivial = [i for i, d in enumerate(snf.diagonal) if d > 1]
     cols = []
     for w in group.generators:
-        mw = tuple(
-            sum(Fraction(m[i][j]) * w[j] for j in range(g.rank))
-            for i in range(g.rank)
-        )
-        coords = tuple(
-            sum(Fraction(ug[i][j]) * mw[j] for j in range(g.rank))
-            for i in range(g.rank)
-        )
+        coords = mat_vec(group.coordinates, mat_vec(m, w))
         assert all(c.denominator == 1 for c in coords)
-        cols.append([int(coords[i]) for i in nontrivial])
+        cols.append([int(c) for c in coords])
     matrix = from_rows(
-        [[cols[j][i] for j in range(len(cols))] for i in range(len(nontrivial))]
+        [[col[i] for col in cols] for i in range(len(group.coordinates))]
     )
     return DiscAction(matrix=matrix, factors=group.invariant_factors)
 

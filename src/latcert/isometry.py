@@ -7,19 +7,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import GramLattice, inner, norm, signature
-from .matrices import (
-    Matrix,
-    Vector,
-    det,
-    identity,
-    mat_mul,
-    mat_vec,
-    transpose,
-)
+from .lattice import GramLattice, determinant, inner, norm
+from .matrices import Matrix, Vector, det, mat_mul, mat_vec, transpose
 
-# Every finite-order element of GL(2, Z) has order dividing 12.
-MAX_FINITE_ORDER_RANK2 = 12
+# Order of an elliptic element of SL(2, Z), keyed by its trace.
+ELLIPTIC_ORDER = {-1: 3, 0: 4, 1: 6}
 
 
 @dataclass(frozen=True)
@@ -63,10 +55,10 @@ def preserves_positive_cone(g: GramLattice, m: Matrix, h: Vector) -> bool:
 
     In signature (1,1) an isometry sends the positive cone to plus or
     minus itself, so the sign of inner(M*h, h) on one interior vector
-    decides.
+    decides. A nondegenerate lattice has signature (1,1) exactly when
+    it has rank 2 and negative determinant.
     """
-    sig = signature(g)
-    if (sig.positive, sig.negative) != (1, 1):
+    if g.rank != 2 or determinant(g) >= 0:
         raise ValueError("cone test requires signature (1,1)")
     if norm(g, h) <= 0:
         raise ValueError("h must lie in the positive cone (norm > 0)")
@@ -74,33 +66,57 @@ def preserves_positive_cone(g: GramLattice, m: Matrix, h: Vector) -> bool:
 
 
 def order(m: Matrix) -> OrderResult:
-    """Finite order k (power check up to 12) or infinite, for rank 2."""
+    """Finite order or infinite, for rank 2, from trace and determinant.
+
+    det 1: |tr| >= 3 is hyperbolic (infinite); tr -1, 0, 1 is elliptic
+    of order 3, 4, 6; tr +-2 is +-I (order 1, 2) or parabolic (infinite).
+    det -1: M^2 = I iff tr = 0 (Cayley-Hamilton), else the eigenvalues
+    are real and not +-1. Any other det has |det^k| != 1 for all k.
+    """
     if len(m) != 2:
         raise ValueError("order test implemented for rank 2 only")
-    ident = identity(2)
-    power = m
-    for k in range(1, MAX_FINITE_ORDER_RANK2 + 1):
-        if power == ident:
-            return OrderResult(finite=k)
-        power = mat_mul(power, m)
+    tr = m[0][0] + m[1][1]
+    dt = det(m)
+    if dt == 1 and tr in ELLIPTIC_ORDER:
+        return OrderResult(finite=ELLIPTIC_ORDER[tr])
+    if dt == 1 and abs(tr) == 2 and m[0][1] == m[1][0] == 0:
+        return OrderResult(finite=1 if tr == 2 else 2)
+    if dt == -1 and tr == 0:
+        return OrderResult(finite=2)
     return OrderResult(finite=None)
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; returns (s, d). Requires n > 0."""
+    """n = s^2 * d with d squarefree; returns (s, d). Requires n > 0.
+
+    Trial division strips each prime k while k^3 <= n. The remainder then
+    has no prime factor below k and is less than k^3, so it is 1, p, p*q
+    or p^2, and only p^2 is not squarefree: isqrt tells it exactly.
+    """
     s, d = 1, 1
     k = 2
-    while k * k <= n:
+    while k * k * k <= n:
         while n % (k * k) == 0:
             n //= k * k
             s *= k
+        if n % k == 0:
+            n //= k
+            d *= k
         k += 1
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, d
     return s, d * n
 
 
 def char_poly_rank2(m: Matrix) -> CharData:
     """Characteristic data (trace, det) of a 2x2 matrix, with the
-    dominant real root in exact symbolic form when it is irrational."""
+    dominant real root in exact symbolic form when it is irrational.
+
+    tr^2 - 4*det = (a - d)^2 + 4*b*c, so g = gcd(a - d, b, c) squared
+    divides it and only disc / g^2 is factored. For an isometry of a
+    Gram G that quotient is a primitive discriminant, at most 4*|det G|.
+    """
     if len(m) != 2:
         raise ValueError("rank 2 only")
     tr = m[0][0] + m[1][1]
@@ -111,9 +127,10 @@ def char_poly_rank2(m: Matrix) -> CharData:
         if s * s == disc:
             root = Fraction(tr + s, 2)
             return CharData(tr, dt, None, rational_root=root)
-        sq, d = _squarefree_split(disc)
+        g = math.gcd(m[0][0] - m[1][1], m[0][1], m[1][0])
+        sq, d = _squarefree_split(disc // (g * g))
         return CharData(
-            tr, dt, QuadraticRoot(p=Fraction(tr, 2), q=Fraction(sq, 2), d=d)
+            tr, dt, QuadraticRoot(p=Fraction(tr, 2), q=Fraction(g * sq, 2), d=d)
         )
     if disc == 0:
         return CharData(tr, dt, None, rational_root=Fraction(tr, 2))

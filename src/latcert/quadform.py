@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .lattice import GramLattice, signature
+from .lattice import GramLattice, determinant
 from .matrices import Matrix, from_rows
 
 DEFAULT_MODULI = (3, 5, 8, 16)
@@ -263,10 +263,10 @@ def represents_value(
 
     Pipeline: zero criterion / content filter / congruence filter /
     Pell-class search on the primitive part, with a direct box scan
-    before conceding "unknown".
+    before conceding "unknown". A nondegenerate lattice has signature
+    (1,1) exactly when it has rank 2 and negative determinant.
     """
-    sig = signature(g)
-    if (sig.positive, sig.negative) != (1, 1):
+    if g.rank != 2 or determinant(g) >= 0:
         raise ValueError(
             "representability pipeline requires signature (1,1)"
         )

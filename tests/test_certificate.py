@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 
 from latcert.certificate import (
@@ -11,7 +14,7 @@ from latcert.certificate import (
     run_certificate,
 )
 from latcert.lattice import GramLattice, inner, norm
-from latcert.matrices import unimodular_inverse
+from latcert.matrices import mat_pow, unimodular_inverse
 from latcert.oracle import brute_low_degree
 
 
@@ -139,6 +142,26 @@ class TestS5:
         result = check_S5_isometry(paper_lattice, (1, 0), ((1, 1), (0, 1)))
         assert result.status == "fail"
         assert "not an isometry" in result.witness
+
+    def test_sigma_power_60_is_fast_and_exact(self, paper_lattice, sigma):
+        # tr^2 - 4 is about 10^120 here; factoring it used to hang
+        start = time.perf_counter()
+        report = run_certificate(
+            CertificateInput(
+                gram=paper_lattice,
+                polarization=(1, 0),
+                isometry=mat_pow(sigma, 60),
+            )
+        )
+        assert time.perf_counter() - start < 1.0
+        assert report.verdict == "pass"
+        details = report.step("S5").details
+        assert details["disc_action_order"] == 1
+        p = 271891392002959497725800139549408786173817792813331457080001
+        assert details["char_poly"] == {"trace": 2 * p, "det": 1}
+        q = math.isqrt((p * p - 1) // 6)
+        assert 6 * q * q == p * p - 1
+        assert details["dominant_root"] == f"{p} + {q}*sqrt(6)"
 
     def test_isometry_search_when_absent(self, paper_lattice):
         result = check_S5_isometry(paper_lattice, (1, 0), None)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcert.isometry import (
+    QuadraticRoot,
+    _squarefree_split,
     char_poly_rank2,
     is_isometry,
     order,
@@ -105,6 +108,19 @@ class TestOrder:
     def test_order_six(self):
         assert order(((1, -1), (1, 0))).finite == 6
 
+    def test_matches_power_loop(self):
+        # every finite-order element of GL(2, Z) has order dividing 12
+        for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+            m = ((a, b), (c, d))
+            expected = None
+            power = m
+            for k in range(1, 13):
+                if power == identity(2):
+                    expected = k
+                    break
+                power = mat_mul(power, m)
+            assert order(m).finite == expected, m
+
 
 class TestCharPoly:
     def test_sigma(self, sigma):
@@ -124,6 +140,59 @@ class TestCharPoly:
         char = char_poly_rank2(SWAP)
         assert (char.trace, char.det) == (0, -1)
         assert char.rational_root == 1
+
+    def test_content_of_trace_free_part(self):
+        # M = t*I + u*N has g = gcd(a - d, b, c) divisible by u, and g^2
+        # divides tr^2 - 4*det; the root matches a split of the whole disc
+        for t, u, n in itertools.product(
+            (-7, 0, 3, 10), (2, 3, 12), (((1, 2), (3, -1)), ((1, 1), (1, 0)))
+        ):
+            m = tuple(
+                tuple(t * (i == j) + u * n[i][j] for j in range(2))
+                for i in range(2)
+            )
+            char = char_poly_rank2(m)
+            disc = char.trace**2 - 4 * char.det
+            s, d = _squarefree_split_by_trial_division(disc)
+            assert char.dominant_root == QuadraticRoot(
+                p=Fraction(char.trace, 2), q=Fraction(s, 2), d=d
+            ), m
+
+    def test_content_scales_q_only(self, sigma):
+        base = char_poly_rank2(sigma).dominant_root
+        for u in (2, 3, 35, 10**9 + 7):
+            m = ((5 + 5 * u, u), (-u, 5 - 5 * u))
+            root = char_poly_rank2(m).dominant_root
+            assert (root.p, root.q, root.d) == (base.p, u * base.q, base.d)
+
+
+def _squarefree_split_by_trial_division(n):
+    s, d, p = 1, 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+        p += 1
+    return s, d * n
+
+
+class TestSquarefreeSplit:
+    def test_matches_full_trial_division(self):
+        for n in range(1, 20001):
+            expected = _squarefree_split_by_trial_division(n)
+            assert _squarefree_split(n) == expected, n
+
+    def test_cube_root_edge_cases(self):
+        # the remainder after stripping primes below its cube root
+        p, q = 999_983, 1_000_003
+        assert _squarefree_split(p * p) == (p, 1)
+        assert _squarefree_split(p * q) == (1, p * q)
+        assert _squarefree_split(p * p * q) == (p, q)
+        assert _squarefree_split(4 * p * p) == (2 * p, 1)
+        assert _squarefree_split(6 * q * q) == (q, 6)
 
 
 class TestPolarizationOrbit:

@@ -145,6 +145,15 @@ def test_signature_counts_sum_to_rank(g):
     assert sig.positive + sig.negative == g.rank
 
 
+@given(nondegenerate_lattices())
+@settings(max_examples=150)
+def test_signature_1_1_iff_rank_2_and_negative_det(g):
+    # quadform and isometry test for signature (1,1) this way
+    sig = signature(g)
+    is_hyperbolic = (sig.positive, sig.negative) == (1, 1)
+    assert is_hyperbolic == (g.rank == 2 and determinant(g) < 0)
+
+
 @given(nondegenerate_lattices(max_rank=2), st.data())
 @settings(max_examples=100)
 def test_even_implies_even_norms(g, data):
