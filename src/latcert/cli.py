@@ -26,6 +26,7 @@ from .lattice import GramLattice, norm
 from .matrices import from_rows
 from .oracle import (
     DEFAULT_BOX_RADIUS,
+    MAX_BOX_RADIUS,
     brute_action_order,
     brute_low_degree,
     brute_values,
@@ -77,6 +78,11 @@ def load_document(path: str) -> dict:
     for key in ("degree_bound", "search_bound", "box_radius"):
         if key in raw and (not isinstance(raw[key], int) or raw[key] < 1):
             raise DocumentError(f"field {key} must be a positive integer")
+    if raw.get("box_radius", 0) > MAX_BOX_RADIUS:
+        raise DocumentError(
+            f"field box_radius must be at most {MAX_BOX_RADIUS}; the --verify "
+            "value scan visits (2*box_radius + 1)^2 points"
+        )
     return raw
 
 

@@ -139,39 +139,38 @@ def _congruence_blocks(f: BinaryForm, t: int) -> bool:
 
 
 def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
-    """Solve f(x, y) = t != 0 when the discriminant is a perfect square
-    or a degenerate-looking coefficient pattern allows factoring.
+    """Solve f(x, y) = t != 0 for a primitive form f with a perfect
+    square discriminant s^2.
 
-    4*a*f = (2ax + by)^2 - disc*y^2 factors over Z, so solutions come
-    from divisor pairs of 4*a*t. Complete for t != 0.
+    Such a form factors over Z: 4*a*f = (2ax + (b - s)y)(2ax + (b + s)y),
+    and dividing each factor by its content leaves primitive linear
+    forms L1, L2 with f = sign(a)*L1*L2 (Gauss's lemma). Every solution
+    therefore has L1(x, y) = d1 for a divisor d1 of t, and d1 fixes the
+    solution through a 2x2 linear system. Complete for t != 0, with
+    trial division only up to sqrt(|t|). The divisors are tried by
+    increasing |d1|, positive first.
     """
     a, b, c = f.a, f.b, f.c
-    if a == 0 and c == 0:
-        # f = b*x*y
-        if t % b == 0:
-            return (1, t // b)
-        for y in _signed_divisors(t):
-            if (t // y) % b == 0:
-                return ((t // y) // b, y)
-        return None
     if a == 0:
+        if c == 0:
+            # f = b*x*y with b = +-1
+            return (1, t // b)
         # swap variables so the leading coefficient is nonzero
         w = _divisor_search(BinaryForm(c, b, a), t)
         return None if w is None else (w[1], w[0])
-    s = math.isqrt(abs(f.discriminant))
-    target = 4 * a * t
-    for p in _signed_divisors(target):
-        q = target // p
-        # p = 2ax + (b - s)y, q = 2ax + (b + s)y
-        if s == 0:
+    s = math.isqrt(f.discriminant)
+    g1, g2 = math.gcd(2 * a, b - s), math.gcd(2 * a, b + s)
+    # L1 = al*x + be*y, L2 = ga*x + de*y
+    al, be = 2 * a // g1, (b - s) // g1
+    ga, de = 2 * a // g2, (b + s) // g2
+    det_l = al * de - be * ga
+    sign_a = 1 if a > 0 else -1
+    for d1 in _signed_divisors(t):
+        d2 = sign_a * (t // d1)
+        x_num, y_num = de * d1 - be * d2, al * d2 - ga * d1
+        if x_num % det_l or y_num % det_l:
             continue
-        if (q - p) % (2 * s) != 0:
-            continue
-        y = (q - p) // (2 * s)
-        num = p + q - 2 * b * y
-        if num % (4 * a) != 0:
-            continue
-        x = num // (4 * a)
+        x, y = x_num // det_l, y_num // det_l
         if f.evaluate(x, y) == t:
             return (x, y)
     return None
@@ -292,7 +291,7 @@ def represents_value(
 def _decide_primitive(
     f0: BinaryForm, t0: int, search_bound: int
 ) -> Representation:
-    if f0.a == 0 or f0.c == 0 or _is_square(f0.discriminant):
+    if _is_square(f0.discriminant):
         w = _divisor_search(f0, t0)
         if w is not None:
             return Representation(status="yes", witness=w)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from latcert.cli import (
 )
 from latcert.lattice import GramLattice
 from latcert.matrices import from_rows
+from latcert.oracle import MAX_BOX_RADIUS
 
 BUNDLED = (
     "gizatullin.json",
@@ -150,6 +152,58 @@ class TestVerify:
         assert code == EXIT_PASS
         assert report["verdict"] == "pass"
         assert all(v["status"] == "agree" for v in report["verify"].values())
+
+    def test_box_radius_at_limit_runs(self, capsys, tmp_path):
+        doc = {
+            "gram": [[4, 20], [20, 4]],
+            "polarization": [1, 0],
+            "isometry": [[10, 1], [-1, 0]],
+            "box_radius": MAX_BOX_RADIUS,
+        }
+        code, report = self._check_verify(capsys, tmp_path, doc)
+        assert code == EXIT_PASS
+        scan = report["verify"]["values_box_scan"]
+        assert scan == {
+            "status": "agree",
+            "box_radius": MAX_BOX_RADIUS,
+            "witnesses": {},
+        }
+
+    def test_box_radius_over_limit_rejected(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "gram": [[4, 20], [20, 4]],
+                    "polarization": [1, 0],
+                    "box_radius": MAX_BOX_RADIUS + 1,
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "check", str(path), "--verify")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert f"box_radius must be at most {MAX_BOX_RADIUS}" in err
+
+
+def test_square_discriminant_with_huge_coefficient_is_fast(capsys, tmp_path):
+    # 2*P^2*x^2 - 2*y^2 with P = 10^9 + 7: S2 used to trial-divide
+    # 4*P^2 up to 2*P and ran for minutes.
+    p = 10**9 + 7
+    path = tmp_path / "doc.json"
+    path.write_text(
+        json.dumps({"gram": [[2 * p * p, 0], [0, -2]], "polarization": [1, 0]})
+    )
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "check", str(path), "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_FAIL
+    s2 = json.loads(out)["steps"][1]
+    assert s2["status"] == "fail"
+    assert s2["witness"] == [
+        {"target": 0, "vector": [1, p]},
+        {"target": -2, "vector": [0, -1]},
+    ]
 
 
 @pytest.mark.parametrize("name", BUNDLED)

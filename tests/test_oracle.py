@@ -1,6 +1,10 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
-from latcert.lattice import GramLattice
+from latcert.lattice import GramLattice, inner, norm
 from latcert.quadform import (
     BinaryForm,
     automorph_generator,
@@ -60,6 +64,116 @@ class TestBruteLowDegree:
         needed = required_box_radius(paper_lattice, (1, 0), 16)
         with pytest.raises(ValueError, match="insufficient"):
             brute_low_degree(paper_lattice, (1, 0), 16, radius=needed - 1)
+
+
+def random_grams(seed, count, rank, indefinite=False):
+    """Seeded random nondegenerate even Gram matrices of rank 1 or 2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if rank == 1:
+            a = 2 * rng.randint(-12, 12)
+            if a:
+                out.append(GramLattice.from_rows([[a]]))
+            continue
+        a, c = 2 * rng.randint(-12, 12), 2 * rng.randint(-12, 12)
+        b = rng.randint(-15, 15)
+        det_g = a * c - b * b
+        if det_g < 0 or (det_g > 0 and not indefinite):
+            out.append(GramLattice.from_rows([[a, b], [b, c]]))
+    return out
+
+
+def reference_values(g, radius):
+    """The value scan through lattice.norm, vector by vector."""
+    box = range(-radius, radius + 1)
+    vectors = [(x,) for x in box] if g.rank == 1 else [
+        (x, y) for x in box for y in box
+    ]
+    out = {}
+    for v in vectors:
+        t = norm(g, v)
+        if any(v) and t not in out:
+            out[t] = v
+    return out
+
+
+def reference_low_degree(g, h, bound, radius):
+    """(coords, degree, square, multiple) over the box through
+    lattice.inner and lattice.norm, sorted by (degree, coords)."""
+    nh = norm(g, h)
+    out = []
+    for x in range(-radius, radius + 1):
+        for y in range(-radius, radius + 1):
+            d = inner(g, (x, y), h)
+            if 0 < d < bound and norm(g, (x, y)) > 0:
+                m = d // nh
+                multiple = m if (m * h[0], m * h[1]) == (x, y) else None
+                out.append(((x, y), d, norm(g, (x, y)), multiple))
+    return sorted(out, key=lambda row: (row[1], row[0]))
+
+
+def fraction_box_radius(g, h, bound):
+    """required_box_radius in rational arithmetic, as a reference."""
+
+    def ceil_sqrt(q):
+        s = math.isqrt(q.numerator * q.denominator)
+        if s * s < q.numerator * q.denominator:
+            s += 1
+        return -(-s // q.denominator)
+
+    nh = norm(g, h)
+    w = (inner(g, (1, 0), h), inner(g, (0, 1), h))
+    k = math.gcd(*w)
+    v0 = (w[1] // k, -w[0] // k)
+    t_max = Fraction(bound - 1, nh)
+    s_max = ceil_sqrt(t_max * t_max * Fraction(nh, -norm(g, v0)))
+    return 1 + max(
+        ceil_sqrt((t_max * abs(h[i]) + s_max * abs(v0[i])) ** 2)
+        for i in range(2)
+    )
+
+
+class TestScansAgainstReference:
+    @pytest.mark.parametrize("rank,seed", [(1, 1), (2, 2), (2, 3)])
+    def test_values_dict_and_witnesses(self, rank, seed):
+        rng = random.Random(seed)
+        for g in random_grams(seed, 40, rank):
+            radius = rng.randint(1, 9)
+            got = brute_values(g, radius)
+            # same norms, same first witness, same insertion order
+            assert list(got.items()) == list(reference_values(g, radius).items())
+
+    def test_low_degree_list_order_and_multiples(self):
+        rng = random.Random(4)
+        checked = 0
+        for g in random_grams(4, 150, 2, indefinite=True):
+            h = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if h == (0, 0) or norm(g, h) <= 0:
+                continue
+            bound = rng.randint(1, 40)
+            radius = required_box_radius(g, h, bound) + rng.randint(0, 2)
+            got = [
+                (c.coords, c.degree, c.square, c.multiple_of_h)
+                for c in brute_low_degree(g, h, bound, radius)
+            ]
+            assert got == reference_low_degree(g, h, bound, radius)
+            checked += 1
+        assert checked > 30
+
+    def test_box_radius_matches_rational_reference(self):
+        rng = random.Random(5)
+        checked = 0
+        for g in random_grams(5, 300, 2, indefinite=True):
+            h = (rng.randint(-9, 9), rng.randint(-9, 9))
+            if h == (0, 0) or norm(g, h) <= 0:
+                continue
+            for bound in (1, 2, 3, 16, 17, 100, 10**6, 10**30):
+                assert required_box_radius(g, h, bound) == fraction_box_radius(
+                    g, h, bound
+                )
+                checked += 1
+        assert checked > 300
 
 
 class TestBrutePell:

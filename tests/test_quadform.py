@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,25 @@ class TestRepresentsValue:
         rep = represents_value(g, -2)
         assert rep.is_yes
         assert norm(g, rep.witness) == -2
+
+    def test_square_discriminant_against_box_oracle(self):
+        # every Gram [[2*al*ga, b], [b, 2*be*de]] with b = al*de + be*ga:
+        # its form is 2*(al*x + be*y)*(ga*x + de*y)
+        checked = 0
+        for al, be, ga, de in itertools.product(range(-2, 3), repeat=4):
+            b = al * de + be * ga
+            if b * b - 4 * al * be * ga * de <= 0:
+                continue
+            g = GramLattice.from_rows([[2 * al * ga, b], [b, 2 * be * de]])
+            attained = brute_values(g, 12)
+            for t in range(-20, 21, 2):
+                rep = represents_value(g, t)
+                if rep.is_yes:
+                    assert norm(g, rep.witness) == t
+                else:
+                    assert rep.is_no and t not in attained
+            checked += 1
+        assert checked > 200
 
     @given(even_indefinite_rank2_strategy(), st.integers(-20, 20))
     @settings(max_examples=250, deadline=None)
