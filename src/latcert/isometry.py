@@ -55,10 +55,10 @@ def preserves_positive_cone(g: GramLattice, m: Matrix, h: Vector) -> bool:
 
     In signature (1,1) an isometry sends the positive cone to plus or
     minus itself, so the sign of inner(M*h, h) on one interior vector
-    decides. A nondegenerate lattice has signature (1,1) exactly when
-    it has rank 2 and negative determinant.
+    decides. A rank-2 lattice has signature (1,1) exactly when its
+    determinant is negative.
     """
-    if g.rank != 2 or determinant(g) >= 0:
+    if determinant(g) >= 0:
         raise ValueError("cone test requires signature (1,1)")
     if norm(g, h) <= 0:
         raise ValueError("h must lie in the positive cone (norm > 0)")

@@ -1,15 +1,12 @@
-"""Exact arithmetic on integer symmetric bilinear forms of small rank."""
+"""Exact arithmetic on integer symmetric bilinear forms of rank 2."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .matrices import Matrix, Vector, det, from_rows
-
-MAX_RANK = 4
 
 
 class DegenerateLatticeError(ValueError):
@@ -34,26 +31,22 @@ class LowDegreeClass:
 
 @dataclass(frozen=True)
 class GramLattice:
-    """An integer symmetric bilinear form on a fixed basis.
+    """An integer symmetric bilinear form of rank 2 on a fixed basis.
 
-    Immutable after construction; symmetry and nondegeneracy are
-    enforced here so downstream code can assume both.
+    Immutable after construction; the 2x2 shape, symmetry and
+    nondegeneracy are enforced here so downstream code can assume them.
     """
 
     entries: Matrix
 
     def __post_init__(self):
         n = len(self.entries)
-        if not 1 <= n <= MAX_RANK:
-            raise ValueError(f"rank must be in 1..{MAX_RANK}, got {n}")
-        if any(len(row) != n for row in self.entries):
+        if n != 2:
+            raise ValueError(f"gram matrix must be 2x2 (rank 2), got rank {n}")
+        if any(len(row) != 2 for row in self.entries):
             raise ValueError("gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError(
-                        f"gram matrix not symmetric at ({i},{j})"
-                    )
+        if self.entries[0][1] != self.entries[1][0]:
+            raise ValueError("gram matrix not symmetric at (1,0)")
         if det(self.entries) == 0:
             raise DegenerateLatticeError("gram matrix is degenerate")
 
@@ -94,51 +87,14 @@ def determinant(g: GramLattice) -> int:
 
 
 def signature(g: GramLattice) -> Signature:
-    """Counts of positive and negative squares, by exact rational
-    congruence diagonalization.
-
-    A zero diagonal pivot is repaired by adding another basis vector
-    (which cannot fail on a nondegenerate form).
-    """
-    n = g.rank
-    a = [[Fraction(x) for x in row] for row in g.entries]
-    pos = neg = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            swapped = False
-            for j in range(i + 1, n):
-                if a[j][j] != 0:
-                    # swap basis vectors i and j
-                    a[i], a[j] = a[j], a[i]
-                    for row in a:
-                        row[i], row[j] = row[j], row[i]
-                    swapped = True
-                    break
-            if not swapped:
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        # replace e_i by e_i + e_j; new diagonal is 2*a[i][j]
-                        for k in range(n):
-                            a[i][k] += a[j][k]
-                        for k in range(n):
-                            a[k][i] += a[k][j]
-                        break
-                else:
-                    raise DegenerateLatticeError(
-                        "degenerate block during diagonalization"
-                    )
-        pivot = a[i][i]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            factor = a[j][i] / pivot
-            for k in range(n):
-                a[j][k] -= factor * a[i][k]
-            for k in range(n):
-                a[k][j] -= factor * a[k][i]
-    return Signature(positive=pos, negative=neg)
+    """Counts of positive and negative squares. The form is indefinite
+    exactly when det < 0; otherwise a*c > b^2 >= 0, so it is definite
+    with the sign of the (1,1) entry."""
+    if determinant(g) < 0:
+        return Signature(positive=1, negative=1)
+    if g.entries[0][0] > 0:
+        return Signature(positive=2, negative=0)
+    return Signature(positive=0, negative=2)
 
 
 def is_even(g: GramLattice) -> bool:

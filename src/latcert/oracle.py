@@ -29,21 +29,15 @@ MAX_BOX_RADIUS = 200
 
 
 def brute_values(g: GramLattice, radius: int) -> dict[int, Vector]:
-    """All norms attained on the box [-radius, radius]^rank, with one
+    """All norms attained on the box [-radius, radius]^2, with one
     witness each; the zero vector is excluded so the t = 0 entry means a
     nontrivial zero. The witness of a norm is the first vector that
     attains it in lexicographic order.
 
-    The rank-2 scan evaluates a*x^2 + 2b*x*y + c*y^2 directly, with the
+    The scan evaluates a*x^2 + 2b*x*y + c*y^2 directly, with the
     x-terms taken out of the inner loop: O(radius^2) time."""
-    if g.rank > 2:
-        raise ValueError("value scan supports rank <= 2 only")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    if g.rank == 1:
-        # a != 0, so x -> a*x^2 is injective on x < 0, and x > 0 repeats it
-        ((a,),) = g.entries
-        return {a * x * x: (x,) for x in range(-radius, 0)}
     (a, b), (_, c) = g.entries
     box = range(-radius, radius + 1)
     out: dict[int, Vector] = {}
@@ -70,13 +64,11 @@ def _ceil_sqrt_ratio(num: int, den: int) -> int:
 
 def required_box_radius(g: GramLattice, h: Vector, bound: int) -> int:
     """A box radius provably containing every class C with
-    0 < inner(C, h) < bound and norm(C) > 0, for rank-2 g.
+    0 < inner(C, h) < bound and norm(C) > 0.
 
     Splits C = t*h + s*v0 with v0 a primitive vector orthogonal to h;
     norm(v0) < 0 in signature (1,1), so norm(C) > 0 bounds |s|.
     """
-    if g.rank != 2:
-        raise ValueError("rank 2 only")
     nh = norm(g, h)
     if nh <= 0:
         raise ValueError("polarization must have positive norm")

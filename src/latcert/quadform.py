@@ -74,8 +74,6 @@ def _is_square(n: int) -> bool:
 
 def to_binary_form(g: GramLattice) -> BinaryForm:
     """The quadratic form f(x, y) = norm(g, (x, y)) of a rank-2 lattice."""
-    if g.rank != 2:
-        raise ValueError("binary form requires a rank-2 lattice")
     e = g.entries
     return BinaryForm(a=e[0][0], b=2 * e[0][1], c=e[1][1])
 
@@ -262,10 +260,10 @@ def represents_value(
 
     Pipeline: zero criterion / content filter / congruence filter /
     Pell-class search on the primitive part, with a direct box scan
-    before conceding "unknown". A nondegenerate lattice has signature
-    (1,1) exactly when it has rank 2 and negative determinant.
+    before conceding "unknown". A rank-2 lattice has signature (1,1)
+    exactly when its determinant is negative.
     """
-    if g.rank != 2 or determinant(g) >= 0:
+    if determinant(g) >= 0:
         raise ValueError(
             "representability pipeline requires signature (1,1)"
         )

@@ -17,7 +17,7 @@ from latcert.cli import (
     main,
 )
 from latcert.lattice import GramLattice
-from latcert.matrices import from_rows
+from latcert.matrices import from_rows, mat_pow
 from latcert.oracle import MAX_BOX_RADIUS
 
 BUNDLED = (
@@ -184,6 +184,82 @@ class TestVerify:
         assert code == EXIT_ERROR
         assert out == ""
         assert f"box_radius must be at most {MAX_BOX_RADIUS}" in err
+
+
+class TestLowDegreeBoxLimit:
+    """The low-degree oracle scan (check --verify, enumerate) is refused
+    with exit 3 when its box radius would exceed MAX_BOX_RADIUS."""
+
+    # [[4, 0], [0, -96]] (the datum, reduced) in the basis (h, v + 3000*h):
+    # det -384, passes check, but degree bound 16 needs a box radius of 3005
+    FAR_BASIS = {
+        "gram": [[4, 12000], [12000, 35999904]],
+        "polarization": [1, 0],
+    }
+
+    def test_enumerate_just_under_limit_runs(self, capsys, data_dir):
+        # radius 199
+        code, out, _ = run_cli(
+            capsys, "enumerate", str(data_dir / "gizatullin.json"), "--bound", "390"
+        )
+        assert code == EXIT_PASS
+        assert out.splitlines()[0] == "(1, 0) degree=4 square=4 = 1*h"
+
+    def test_enumerate_over_limit_rejected(self, capsys, data_dir):
+        # radius 206
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "enumerate", str(data_dir / "gizatullin.json"), "--bound", "400"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "radius of 206" in err and f"limit is {MAX_BOX_RADIUS}" in err
+
+    def test_far_basis_checks_but_is_not_verified(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(self.FAR_BASIS))
+        code, _, _ = run_cli(capsys, "check", str(path))
+        assert code == EXIT_PASS
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", str(path), "--verify")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "radius of 3005" in err
+
+
+@pytest.mark.parametrize("cmd", ["check", "disc"])
+@pytest.mark.parametrize("gram", [[[4]], [[2, 0, 0], [0, 2, 0], [0, 0, -2]]])
+def test_gram_other_than_2x2_rejected(capsys, tmp_path, cmd, gram):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"gram": gram, "polarization": [1] * len(gram)}))
+    code, out, err = run_cli(capsys, cmd, str(path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert f"rank {len(gram)}" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_orbit_too_long_to_print_leaves_stdout_empty(capsys, tmp_path, fmt):
+    # with sigma^60 as the isometry, orbit entries pass 4300 digits by k = 80
+    sigma_60 = mat_pow(((10, 1), (-1, 0)), 60)
+    path = tmp_path / "doc.json"
+    path.write_text(
+        json.dumps(
+            {
+                "gram": [[4, 20], [20, 4]],
+                "polarization": [1, 0],
+                "isometry": [list(row) for row in sigma_60],
+            }
+        )
+    )
+    code, out, err = run_cli(
+        capsys, "orbit", str(path), "--k-max", "80", "--format", fmt
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "lower --k-max" in err
 
 
 def test_square_discriminant_with_huge_coefficient_is_fast(capsys, tmp_path):

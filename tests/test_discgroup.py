@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcert.discgroup import (
     action_order,
-    disc_quadratic_value,
     discriminant_group,
     identity_action,
     induced_action,
@@ -15,7 +12,7 @@ from latcert.discgroup import (
 from latcert.lattice import GramLattice
 from latcert.matrices import det, from_rows, identity, mat_mul
 
-from .conftest import nondegenerate_lattices, small_vectors
+from .conftest import nondegenerate_lattices
 
 
 def int_matrices(max_size=4, lo=-50, hi=50):
@@ -102,44 +99,6 @@ class TestDiscriminantGroup:
         assert discriminant_group(g).order == abs(determinant(g))
 
 
-class TestDiscQuadraticValue:
-    def test_integral_vector_is_zero_class(self, paper_lattice):
-        assert disc_quadratic_value(paper_lattice, (Fraction(1), Fraction(0))) == 0
-
-    def test_half_vector(self):
-        g = GramLattice.from_rows([[2, 0], [0, -2]])
-        assert disc_quadratic_value(g, (Fraction(1, 2), Fraction(0))) == Fraction(1, 2)
-
-    def test_paper_generator_value_matches_direct_evaluation(self, paper_lattice):
-        group = discriminant_group(paper_lattice)
-        w = group.generators[0]
-        direct = sum(
-            w[i] * paper_lattice.entries[i][j] * w[j]
-            for i in range(2)
-            for j in range(2)
-        )
-        assert disc_quadratic_value(paper_lattice, w) == direct % 2
-
-    def test_rejects_non_dual_vector(self, paper_lattice):
-        with pytest.raises(ValueError):
-            disc_quadratic_value(paper_lattice, (Fraction(1, 7), Fraction(0)))
-
-    def test_rejects_odd_lattice(self):
-        g = GramLattice.from_rows([[1, 0], [0, -1]])
-        with pytest.raises(ValueError):
-            disc_quadratic_value(g, (Fraction(1), Fraction(0)))
-
-    @given(st.data())
-    @settings(max_examples=100)
-    def test_well_defined_modulo_lattice(self, data):
-        g = GramLattice.from_rows([[4, 20], [20, 4]])
-        group = discriminant_group(g)
-        w = group.generators[1]
-        v = data.draw(small_vectors(2))
-        shifted = tuple(x + y for x, y in zip(w, v))
-        assert disc_quadratic_value(g, shifted) == disc_quadratic_value(g, w)
-
-
 class TestInducedAction:
     def test_identity(self, paper_lattice):
         action = induced_action(paper_lattice, identity(2))
@@ -183,7 +142,3 @@ class TestActionOrder:
 
     def test_trivial_group(self):
         assert action_order(identity_action(())) == 1
-
-    def test_cap_exceeded(self, paper_lattice, sigma):
-        action = induced_action(paper_lattice, sigma)
-        assert action_order(action, cap=1) is None

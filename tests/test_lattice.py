@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,8 +35,11 @@ class TestConstruction:
             GramLattice.from_rows([[1, 1], [1, 1]])
 
     def test_rejects_rank_out_of_range(self):
-        with pytest.raises(ValueError, match="rank"):
-            GramLattice.from_rows([[1 if i == j else 0 for j in range(5)] for i in range(5)])
+        for n in (1, 3, 4, 5):
+            with pytest.raises(ValueError, match=f"rank {n}"):
+                GramLattice.from_rows(
+                    [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+                )
 
 
 class TestInner:
@@ -92,6 +98,52 @@ class TestSignature:
         assert (sig.positive, sig.negative) == (1, 1)
 
 
+def reference_signature(rows):
+    """(positive, negative) by exact rational congruence diagonalization,
+    repairing a zero pivot by a basis swap or by e_i -> e_i + e_j."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    pos = neg = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                j = next(j for j in range(i + 1, n) if a[i][j] != 0)
+                for k in range(n):
+                    a[i][k] += a[j][k]
+                for k in range(n):
+                    a[k][i] += a[k][j]
+        pivot = a[i][i]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            factor = a[j][i] / pivot
+            for k in range(n):
+                a[j][k] -= factor * a[i][k]
+            for k in range(n):
+                a[k][j] -= factor * a[k][i]
+    return pos, neg
+
+
+def test_signature_matches_diagonalization_on_small_grams():
+    checked = 0
+    for a, b, c in product(range(-6, 7), repeat=3):
+        if a * c == b * b:
+            continue
+        sig = signature(GramLattice.from_rows([[a, b], [b, c]]))
+        assert (sig.positive, sig.negative) == reference_signature(
+            [[a, b], [b, c]]
+        ), (a, b, c)
+        checked += 1
+    assert checked > 2000
+
+
 class TestEvenness:
     def test_paper_gram(self, paper_lattice):
         assert is_even(paper_lattice)
@@ -148,13 +200,14 @@ def test_signature_counts_sum_to_rank(g):
 @given(nondegenerate_lattices())
 @settings(max_examples=150)
 def test_signature_1_1_iff_rank_2_and_negative_det(g):
-    # quadform and isometry test for signature (1,1) this way
+    # every GramLattice has rank 2; quadform and isometry test for
+    # signature (1,1) by det < 0 alone
     sig = signature(g)
     is_hyperbolic = (sig.positive, sig.negative) == (1, 1)
-    assert is_hyperbolic == (g.rank == 2 and determinant(g) < 0)
+    assert is_hyperbolic == (determinant(g) < 0)
 
 
-@given(nondegenerate_lattices(max_rank=2), st.data())
+@given(nondegenerate_lattices(), st.data())
 @settings(max_examples=100)
 def test_even_implies_even_norms(g, data):
     if not is_even(g):

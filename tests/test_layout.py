@@ -1,7 +1,9 @@
 """Structural checks: the oracles stay independent of the pipeline they
-verify, and scripts/reproduce.py keeps its committed output."""
+verify, every function the benchmark tracer wraps exists, and
+scripts/reproduce.py keeps its committed output."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -37,6 +39,24 @@ def test_oracle_imports_only_lattice_and_matrices():
 
 def test_certificate_does_not_import_oracle():
     assert "oracle" not in package_imports("certificate")
+
+
+def test_traced_functions_exist():
+    # perfbench/spans.py rebinds latcert.<module>.<function> for each name
+    # in its TRACED table; a missing name would crash only the traced run.
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+    )
+    traced = ast.literal_eval(table)
+    assert traced
+    for module, functions in traced.items():
+        mod = importlib.import_module(f"latcert.{module}")
+        for name in functions:
+            assert callable(getattr(mod, name, None)), f"latcert.{module}.{name}"
 
 
 def test_reproduce_output_matches_golden():

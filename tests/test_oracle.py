@@ -37,11 +37,9 @@ class TestBruteValues:
         assert min(t for t in values if t > 0) == 4
 
     def test_rejects_large_rank(self):
-        g = GramLattice.from_rows(
-            [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
-        )
-        with pytest.raises(ValueError):
-            brute_values(g, 3)
+        # no rank-3 lattice reaches the scan: GramLattice refuses it
+        with pytest.raises(ValueError, match="rank 3"):
+            GramLattice.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
 
 
 class TestBruteLowDegree:
@@ -66,16 +64,11 @@ class TestBruteLowDegree:
             brute_low_degree(paper_lattice, (1, 0), 16, radius=needed - 1)
 
 
-def random_grams(seed, count, rank, indefinite=False):
-    """Seeded random nondegenerate even Gram matrices of rank 1 or 2."""
+def random_grams(seed, count, indefinite=False):
+    """Seeded random nondegenerate even 2x2 Gram matrices."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        if rank == 1:
-            a = 2 * rng.randint(-12, 12)
-            if a:
-                out.append(GramLattice.from_rows([[a]]))
-            continue
         a, c = 2 * rng.randint(-12, 12), 2 * rng.randint(-12, 12)
         b = rng.randint(-15, 15)
         det_g = a * c - b * b
@@ -87,11 +80,8 @@ def random_grams(seed, count, rank, indefinite=False):
 def reference_values(g, radius):
     """The value scan through lattice.norm, vector by vector."""
     box = range(-radius, radius + 1)
-    vectors = [(x,) for x in box] if g.rank == 1 else [
-        (x, y) for x in box for y in box
-    ]
     out = {}
-    for v in vectors:
+    for v in ((x, y) for x in box for y in box):
         t = norm(g, v)
         if any(v) and t not in out:
             out[t] = v
@@ -135,10 +125,10 @@ def fraction_box_radius(g, h, bound):
 
 
 class TestScansAgainstReference:
-    @pytest.mark.parametrize("rank,seed", [(1, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("rank,seed", [(2, 2), (2, 3)])
     def test_values_dict_and_witnesses(self, rank, seed):
         rng = random.Random(seed)
-        for g in random_grams(seed, 40, rank):
+        for g in random_grams(seed, 40):
             radius = rng.randint(1, 9)
             got = brute_values(g, radius)
             # same norms, same first witness, same insertion order
@@ -147,7 +137,7 @@ class TestScansAgainstReference:
     def test_low_degree_list_order_and_multiples(self):
         rng = random.Random(4)
         checked = 0
-        for g in random_grams(4, 150, 2, indefinite=True):
+        for g in random_grams(4, 150, indefinite=True):
             h = (rng.randint(-3, 3), rng.randint(-3, 3))
             if h == (0, 0) or norm(g, h) <= 0:
                 continue
@@ -164,7 +154,7 @@ class TestScansAgainstReference:
     def test_box_radius_matches_rational_reference(self):
         rng = random.Random(5)
         checked = 0
-        for g in random_grams(5, 300, 2, indefinite=True):
+        for g in random_grams(5, 300, indefinite=True):
             h = (rng.randint(-9, 9), rng.randint(-9, 9))
             if h == (0, 0) or norm(g, h) <= 0:
                 continue
