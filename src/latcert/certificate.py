@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import quadform
 from .discgroup import action_order, discriminant_group, induced_action
@@ -66,36 +64,55 @@ CITED_STEPS = (
 )
 
 
-@dataclass(frozen=True)
-class CertificateInput:
+class _InputFields(NamedTuple):
     gram: GramLattice
     polarization: Vector
     isometry: Optional[Matrix] = None
     degree_bound: int = DEFAULT_DEGREE_BOUND
     search_bound: int = DEFAULT_SEARCH_BOUND
 
-    def __post_init__(self):
+
+class CertificateInput(_InputFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if all(x == 0 for x in self.polarization):
             raise ValueError("polarization must be nonzero")
         if self.degree_bound < 1:
             raise ValueError("degree_bound must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class StepResult:
+class _StepFields(NamedTuple):
     id: str
     status: str  # "pass", "fail", "unknown" or "skipped"
     citation: str
     witness: Optional[object] = None
-    details: dict = field(default_factory=dict)
+    details: Optional[dict] = None  # not given: a fresh {} (see __new__)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class StepResult(_StepFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.details is not None else self._replace(details={})
+
+
+class CertificateReport(NamedTuple):
     steps: tuple[StepResult, ...]
     verdict: str  # "pass", "fail" or "unknown"
     notes: tuple[str, ...]
-    timing: dict = field(compare=False)  # step id -> wall time in ms
+    timing: dict  # step id -> wall time in ms; == ignores it
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CertificateReport):
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple inequality
 
     def step(self, step_id: str) -> StepResult:
         for s in self.steps:
@@ -176,6 +193,13 @@ def check_S3_polarization(g: GramLattice, h: Vector) -> StepResult:
     return StepResult("S3", "pass", citation, details=details)
 
 
+def _degree_window(a_coef: int, b_coef: int, disc: int) -> tuple[int, int]:
+    """k_lo, k_hi: the roots (b_coef -+ sqrt(disc)) / (2*|a_coef|), a_coef < 0,
+    rounded outward exactly in integers, with one k to spare on each side."""
+    spread, width = math.isqrt(disc) + 1, -2 * a_coef
+    return (b_coef - spread) // width - 1, -((-b_coef - spread) // width) + 1
+
+
 def enumerate_low_degree(
     g: GramLattice, h: Vector, bound: int
 ) -> list[LowDegreeClass]:
@@ -209,10 +233,7 @@ def enumerate_low_degree(
         disc = b_coef * b_coef - 4 * a_coef * c_coef
         if disc <= 0:
             continue
-        center = Fraction(-b_coef, 2 * a_coef)
-        half = Fraction(math.isqrt(disc) + 1, 2 * abs(a_coef))
-        k_lo = math.floor(center - half) - 1
-        k_hi = math.ceil(center + half) + 1
+        k_lo, k_hi = _degree_window(a_coef, b_coef, disc)
         for k in range(k_lo, k_hi + 1):
             if a_coef * k * k + b_coef * k + c_coef <= 0:
                 continue
@@ -239,15 +260,7 @@ def check_S4_low_degree(
     )
     h_norm, _ = normalize_polarization(h)
     classes = enumerate_low_degree(g, h_norm, degree_bound)
-    listing = [
-        {
-            "coords": list(c.coords),
-            "degree": c.degree,
-            "square": c.square,
-            "multiple_of_h": c.multiple_of_h,
-        }
-        for c in classes
-    ]
+    listing = [{**c._asdict(), "coords": list(c.coords)} for c in classes]
     details = {"classes": listing, "degree_bound": degree_bound}
     for c in classes:
         if c.multiple_of_h is None:

@@ -265,35 +265,34 @@ def cmd_orbit(args) -> int:
     h = tuple(doc["polarization"])
     orbit = polarization_orbit(g, m, h, args.k_max)
     char = char_poly_rank2(m)
-    # The whole output is formatted before any of it is printed, so an
-    # entry too long for int-to-str conversion leaves stdout empty.
-    try:
-        if args.format == "json":
-            text = json.dumps(
-                {
-                    "orbit": [
-                        {"k": k, "coords": list(v), "degree": d}
-                        for k, v, d in orbit
-                    ],
-                    "char_poly": {"trace": char.trace, "det": char.det},
-                    "dominant_root": (
-                        str(char.dominant_root) if char.dominant_root else None
-                    ),
-                },
-                sort_keys=True,
-            )
-        else:
-            lines = [f"k={k}: {v} degree={d}" for k, v, d in orbit]
-            lines.append(f"char poly: trace={char.trace} det={char.det}")
-            if char.dominant_root:
-                lines.append(f"dominant root: {char.dominant_root}")
-            text = "\n".join(lines)
-    except ValueError as exc:
+    # Refused before formatting, which took seconds to reach the limit.
+    limit = sys.get_int_max_str_digits()
+    if limit and max(abs(x) for _, v, d in orbit for x in (*v, d)) >= 10**limit:
         raise ValueError(
             f"orbit entries up to --k-max {args.k_max} exceed the "
-            f"{sys.get_int_max_str_digits()}-digit limit for printing an "
-            "integer; lower --k-max"
-        ) from exc
+            f"{limit}-digit limit for printing an integer; lower --k-max"
+        )
+    # The whole output is formatted before any of it is printed.
+    if args.format == "json":
+        text = json.dumps(
+            {
+                "orbit": [
+                    {"k": k, "coords": list(v), "degree": d}
+                    for k, v, d in orbit
+                ],
+                "char_poly": {"trace": char.trace, "det": char.det},
+                "dominant_root": (
+                    str(char.dominant_root) if char.dominant_root else None
+                ),
+            },
+            sort_keys=True,
+        )
+    else:
+        lines = [f"k={k}: {v} degree={d}" for k, v, d in orbit]
+        lines.append(f"char poly: trace={char.trace} det={char.det}")
+        if char.dominant_root:
+            lines.append(f"dominant root: {char.dominant_root}")
+        text = "\n".join(lines)
     print(text)
     return EXIT_PASS
 
@@ -302,20 +301,7 @@ def cmd_enumerate(args) -> int:
     inp = _build_input(load_document(args.path), args.bound)
     classes = _low_degree_scan(inp.gram, inp.polarization, inp.degree_bound)
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "coords": list(c.coords),
-                        "degree": c.degree,
-                        "square": c.square,
-                        "multiple_of_h": c.multiple_of_h,
-                    }
-                    for c in classes
-                ],
-                sort_keys=True,
-            )
-        )
+        print(json.dumps([c._asdict() for c in classes], sort_keys=True))
     else:
         for c in classes:
             tail = (

@@ -3,9 +3,8 @@ and induced isometry actions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .isometry import is_isometry
 from .lattice import GramLattice
@@ -21,8 +20,7 @@ from .matrices import (
 FracVector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U * M * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
 
     U: Matrix
@@ -126,8 +124,7 @@ def smith_normal_form(m) -> SmithDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """L*/L of a nondegenerate lattice: cyclic invariant factors (> 1)
     with dual-vector generators given in exact rational coordinates.
 
@@ -179,8 +176,7 @@ def discriminant_group(g: GramLattice) -> DiscriminantGroup:
     )
 
 
-@dataclass(frozen=True)
-class DiscAction:
+class DiscAction(NamedTuple):
     """Action of an isometry on the discriminant group, as an integer
     matrix in generator coordinates; row i is taken modulo factors[i]."""
 
@@ -197,6 +193,8 @@ class DiscAction:
         if not isinstance(other, DiscAction):
             return NotImplemented
         return self.factors == other.factors and self._reduced() == other._reduced()
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple inequality
 
     def __hash__(self):
         return hash((self.factors, self._reduced()))

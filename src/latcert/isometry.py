@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .lattice import GramLattice, determinant, inner, norm
 from .matrices import Matrix, Vector, det, mat_mul, mat_vec, transpose
@@ -14,8 +13,7 @@ from .matrices import Matrix, Vector, det, mat_mul, mat_vec, transpose
 ELLIPTIC_ORDER = {-1: 3, 0: 4, 1: 6}
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(NamedTuple):
     finite: Optional[int]  # None means infinite order
 
     @property
@@ -23,8 +21,7 @@ class OrderResult:
         return self.finite is None
 
 
-@dataclass(frozen=True)
-class QuadraticRoot:
+class QuadraticRoot(NamedTuple):
     """Exact value p + q*sqrt(d) with rational p, q and squarefree d > 1."""
 
     p: Fraction
@@ -35,8 +32,7 @@ class QuadraticRoot:
         return f"{self.p} + {self.q}*sqrt({self.d})"
 
 
-@dataclass(frozen=True)
-class CharData:
+class CharData(NamedTuple):
     trace: int
     det: int
     dominant_root: Optional[QuadraticRoot]  # None when roots are rational

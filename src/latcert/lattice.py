@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .matrices import Matrix, Vector, det, from_rows
 
@@ -13,14 +12,12 @@ class DegenerateLatticeError(ValueError):
     """Raised when a Gram matrix has determinant zero."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     positive: int
     negative: int
 
 
-@dataclass(frozen=True)
-class LowDegreeClass:
+class LowDegreeClass(NamedTuple):
     """A class C of degree inner(C, h) and positive square norm(C)."""
 
     coords: Vector
@@ -29,17 +26,22 @@ class LowDegreeClass:
     multiple_of_h: Optional[int]
 
 
-@dataclass(frozen=True)
-class GramLattice:
-    """An integer symmetric bilinear form of rank 2 on a fixed basis.
-
-    Immutable after construction; the 2x2 shape, symmetry and
-    nondegeneracy are enforced here so downstream code can assume them.
-    """
-
+class _GramEntries(NamedTuple):
     entries: Matrix
 
-    def __post_init__(self):
+
+class GramLattice(_GramEntries):
+    """An integer symmetric bilinear form of rank 2 on a fixed basis.
+
+    Immutable; the 2x2 shape, symmetry and nondegeneracy are enforced on
+    every construction path so downstream code can assume them.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = len(self.entries)
         if n != 2:
             raise ValueError(f"gram matrix must be 2x2 (rank 2), got rank {n}")
@@ -49,6 +51,7 @@ class GramLattice:
             raise ValueError("gram matrix not symmetric at (1,0)")
         if det(self.entries) == 0:
             raise DegenerateLatticeError("gram matrix is degenerate")
+        return self
 
     @classmethod
     def from_rows(cls, rows) -> "GramLattice":

@@ -8,8 +8,7 @@ return an honest "unknown" when the search budget is exhausted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .lattice import GramLattice, determinant
 from .matrices import Matrix, from_rows
@@ -23,8 +22,7 @@ REASON_NONSQUARE_DISC = "nonsquare-discriminant"
 REASON_PELL = "pell-exhausted"
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(NamedTuple):
     """f(x, y) = a*x^2 + b*x*y + c*y^2 with integer coefficients."""
 
     a: int
@@ -39,20 +37,25 @@ class BinaryForm:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class _PellFields(NamedTuple):
     x: int
     y: int
     D: int
     N: int
 
-    def __post_init__(self):
+
+class PellSolution(_PellFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.x * self.x - self.D * self.y * self.y != self.N:
             raise ValueError("not a solution of x^2 - D*y^2 = N")
+        return self
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """Outcome of a representability query: yes / no / unknown."""
 
     status: str  # "yes", "no" or "unknown"

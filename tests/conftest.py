@@ -90,3 +90,20 @@ def random_unimodular(rank, ops):
         for col in range(rank):
             m[i][col] += k * m[j][col]
     return from_rows(m)
+
+
+CONSTRUCTION_PATHS = ("positional", "keyword", "_make", "_replace")
+
+
+def rebuild(path, valid, **changes):
+    """The record `valid` with `changes` applied, built through one of
+    CONSTRUCTION_PATHS; a validated type must check every one of them."""
+    cls = type(valid)
+    fields = {**valid._asdict(), **changes}
+    if path == "positional":
+        return cls(*fields.values())
+    if path == "keyword":
+        return cls(**fields)
+    if path == "_make":
+        return cls._make(fields.values())
+    return valid._replace(**changes)

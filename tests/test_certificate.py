@@ -1,10 +1,14 @@
 import math
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from latcert.certificate import (
     CertificateInput,
+    StepResult,
+    _degree_window,
     check_S1_lattice,
     check_S2_no_0_minus2,
     check_S3_polarization,
@@ -16,6 +20,8 @@ from latcert.certificate import (
 from latcert.lattice import GramLattice, inner, norm
 from latcert.matrices import mat_pow, unimodular_inverse
 from latcert.oracle import brute_low_degree
+
+from .conftest import CONSTRUCTION_PATHS, rebuild
 
 
 class TestS1:
@@ -116,6 +122,25 @@ class TestS4:
         assert [(c.coords, c.degree) for c in pipeline] == [
             (c.coords, c.degree) for c in oracle
         ]
+
+    def test_integer_window_matches_fraction_window(self):
+        # The window as computed with Fraction endpoints before it moved
+        # to integer floor/ceiling division; the classes listed depend
+        # only on (k_lo, k_hi).
+        def fraction_window(a_coef, b_coef, disc):
+            center = Fraction(-b_coef, 2 * a_coef)
+            half = Fraction(math.isqrt(disc) + 1, 2 * abs(a_coef))
+            return math.floor(center - half) - 1, math.ceil(center + half) + 1
+
+        rng = random.Random(20111020)
+        for _ in range(5000):
+            size = 10 ** rng.choice((1, 3, 12, 40))
+            a_coef = -rng.randint(1, size)
+            b_coef = rng.randint(-size, size)
+            disc = rng.randint(1, size * size)
+            assert _degree_window(a_coef, b_coef, disc) == fraction_window(
+                a_coef, b_coef, disc
+            )
 
     def test_monotone_in_degree_bound(self, paper_lattice):
         shorter = enumerate_low_degree(paper_lattice, (1, 0), 12)
@@ -229,6 +254,59 @@ class TestRunCertificate:
     def test_rejects_zero_polarization(self, paper_lattice):
         with pytest.raises(ValueError):
             CertificateInput(gram=paper_lattice, polarization=(0, 0))
+
+    @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"polarization": (0, 0)}, "polarization must be nonzero"),
+            ({"degree_bound": 0}, "degree_bound must be >= 1"),
+        ],
+    )
+    def test_every_construction_path_validates_input(
+        self, paper_lattice, path, change, message
+    ):
+        valid = CertificateInput(gram=paper_lattice, polarization=(1, 0))
+        with pytest.raises(ValueError, match=message):
+            rebuild(path, valid, **change)
+
+    def test_input_defaults_and_immutability(self, paper_lattice):
+        inp = CertificateInput(paper_lattice, (1, 0))
+        assert (inp.isometry, inp.degree_bound, inp.search_bound) == (
+            None,
+            16,
+            1000,
+        )
+        with pytest.raises(AttributeError):
+            inp.degree_bound = 8
+        with pytest.raises(AttributeError):
+            inp.note = "no instance dict"
+
+    def test_report_and_steps_are_immutable(self, paper_lattice):
+        report = run_certificate(
+            CertificateInput(gram=paper_lattice, polarization=(1, 0))
+        )
+        with pytest.raises(AttributeError):
+            report.verdict = "fail"
+        with pytest.raises(AttributeError):
+            report.steps[0].status = "fail"
+
+    def test_report_equality_ignores_timing(self, paper_lattice, sigma):
+        report = run_certificate(
+            CertificateInput(gram=paper_lattice, polarization=(1, 0), isometry=sigma)
+        )
+        retimed = report._replace(timing={"S1": 1e9})
+        assert report == retimed
+        assert not report != retimed
+        assert report != report._replace(verdict="unknown")
+
+    def test_step_details_default_is_a_fresh_dict(self):
+        first = StepResult("S4", "skipped", citation="")
+        second = StepResult("S5", "skipped", citation="")
+        assert first.details == {} and second.details == {}
+        assert first.details is not second.details
+        given = {"n": 1}
+        assert StepResult("S5", "pass", "", details=given).details is given
 
     def test_report_determinism(self, paper_lattice, sigma):
         inp = CertificateInput(

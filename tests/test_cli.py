@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -260,6 +261,28 @@ def test_orbit_too_long_to_print_leaves_stdout_empty(capsys, tmp_path, fmt):
     assert code == EXIT_ERROR
     assert out == ""
     assert "lower --k-max" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_orbit_past_print_limit_is_refused_at_once(capsys, data_dir, fmt):
+    # entries of sigma^k h pass 4300 digits near k = 4300; the refusal
+    # must come before formatting, which would take over a second to
+    # reach the first entry past the limit
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "orbit",
+        str(data_dir / "gizatullin.json"),
+        "--k-max",
+        "5000",
+        "--format",
+        fmt,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_ERROR
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert f"exceed the {limit}-digit limit" in err and "lower --k-max" in err
 
 
 def test_square_discriminant_with_huge_coefficient_is_fast(capsys, tmp_path):

@@ -18,9 +18,11 @@ from latcert.lattice import (
 from latcert.matrices import mat_mul, transpose
 
 from .conftest import (
+    CONSTRUCTION_PATHS,
     ELEMENTARY_OPS,
     nondegenerate_lattices,
     random_unimodular,
+    rebuild,
     small_vectors,
 )
 
@@ -40,6 +42,23 @@ class TestConstruction:
                 GramLattice.from_rows(
                     [[1 if i == j else 0 for j in range(n)] for i in range(n)]
                 )
+
+    @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+    def test_every_construction_path_rejects_degenerate(self, paper_lattice, path):
+        with pytest.raises(DegenerateLatticeError, match="degenerate"):
+            rebuild(path, paper_lattice, entries=((0, 0), (0, 0)))
+
+    @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+    def test_every_construction_path_accepts_valid(self, paper_lattice, path):
+        g = rebuild(path, paper_lattice, entries=((2, 1), (1, -2)))
+        assert type(g) is GramLattice
+        assert g.entries == ((2, 1), (1, -2))
+
+    def test_immutable(self, paper_lattice):
+        with pytest.raises(AttributeError):
+            paper_lattice.entries = ((2, 0), (0, -2))
+        with pytest.raises(AttributeError):
+            paper_lattice.note = "no instance dict"
 
 
 class TestInner:

@@ -1,6 +1,7 @@
 """Structural checks: the oracles stay independent of the pipeline they
-verify, every function the benchmark tracer wraps exists, and
-scripts/reproduce.py keeps its committed output."""
+verify, every function the benchmark tracer wraps exists, the CLI's
+import path stays lean, and scripts/reproduce.py keeps its committed
+output."""
 
 import ast
 import importlib
@@ -57,6 +58,29 @@ def test_traced_functions_exist():
         mod = importlib.import_module(f"latcert.{module}")
         for name in functions:
             assert callable(getattr(mod, name, None)), f"latcert.{module}.{name}"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize; none is used at
+    # run time, and every `latcert` process would pay to import them.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, latcert.cli; print(' '.join(sorted(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "latcert.cli" in loaded
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not heavy & loaded
 
 
 def test_reproduce_output_matches_golden():

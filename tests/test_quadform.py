@@ -10,6 +10,7 @@ from latcert.quadform import (
     REASON_CONTENT,
     REASON_NONSQUARE_DISC,
     BinaryForm,
+    PellSolution,
     automorph_generator,
     content,
     pell_fundamental,
@@ -19,7 +20,11 @@ from latcert.quadform import (
 )
 from latcert.oracle import brute_pell, brute_values
 
-from .conftest import even_indefinite_rank2_strategy
+from .conftest import (
+    CONSTRUCTION_PATHS,
+    even_indefinite_rank2_strategy,
+    rebuild,
+)
 
 
 class TestToBinaryForm:
@@ -93,6 +98,28 @@ class TestPellFundamental:
         sol = pell_fundamental(d)
         oracle = brute_pell(d, sol.y)
         assert oracle == (sol.x, sol.y)
+
+
+class TestPellSolution:
+    @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+    def test_every_construction_path_rejects_non_solution(self, path):
+        with pytest.raises(ValueError, match="not a solution"):
+            rebuild(path, PellSolution(5, 1, 24, 1), x=6)
+
+    @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+    def test_every_construction_path_accepts_solution(self, path):
+        sol = rebuild(path, PellSolution(5, 1, 24, 1), x=49, y=10)
+        assert sol == PellSolution(x=49, y=10, D=24, N=1)
+
+    def test_immutable(self):
+        sol = pell_fundamental(24)
+        with pytest.raises(AttributeError):
+            sol.x = 7
+        with pytest.raises(AttributeError):
+            sol.note = "no instance dict"
+
+    def test_equals_plain_tuple_of_fields(self):
+        assert pell_fundamental(24) == (5, 1, 24, 1)
 
 
 class TestRepresentsValue:
