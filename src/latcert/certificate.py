@@ -40,7 +40,7 @@ from .lattice import (
     norm,
     signature,
 )
-from .matrices import Matrix, Vector, mat_mul, mat_vec, unimodular_inverse
+from .matrices import Matrix, Vector, mat_vec
 
 FORMAT_VERSION = "1"
 DEFAULT_DEGREE_BOUND = 16
@@ -278,33 +278,39 @@ def check_S4_low_degree(
     return StepResult("S4", "pass", citation, details=details)
 
 
-def _isometry_candidates(g: GramLattice) -> list[Matrix]:
-    """Automorph-generator candidates composed with signs and the basis
-    swap, for when no isometry is supplied."""
+def _automorph(g: GramLattice) -> Optional[Matrix]:
+    """The automorph generator of the primitive form of g, the isometry
+    S5 checks when none is supplied; None when there is none (a square or
+    negative discriminant).
+
+    For g of signature (1,1) and any h of positive norm it passes S5's
+    cone, order and polarization checks, so no other candidate is
+    needed. For the primitive form a*x^2 + b*x*y + c*y^2 of
+    discriminant D it is M = [[(t - b*u)/2, -c*u], [a*u, (t + b*u)/2]]
+    with t^2 - D*u^2 = 4 and u >= 1. So det M = 1 and its trace t is
+    greater than 2: M is hyperbolic, hence of infinite order, with
+    positive eigenvalues l and 1/l. An eigenvector v is isotropic,
+    since norm(v) = norm(l*v) = l^2 * norm(v) with l^2 != 1. Writing
+    h = x*v + y*w over the two eigenvectors gives
+    inner(M*h, h) = (l + 1/l) * x*y * inner(v, w) = (t/2) * norm(h), so
+    M preserves each cone, and M*h = h would make 1 an eigenvalue, so M
+    fixes no vector of positive norm.
+    """
     f = quadform.to_binary_form(g)
     cont = quadform.content(f)
     f0 = quadform.BinaryForm(f.a // cont, f.b // cont, f.c // cont)
     try:
-        gen = quadform.automorph_generator(f0)
+        return quadform.automorph_generator(f0)
     except ValueError:
-        return []
-    swap = ((0, 1), (1, 0))
-    base = [gen, unimodular_inverse(gen)]
-    candidates = []
-    for m in base:
-        for sign in (1, -1):
-            signed = tuple(tuple(sign * x for x in row) for row in m)
-            candidates.append(signed)
-            candidates.append(mat_mul(swap, signed))
-            candidates.append(mat_mul(signed, swap))
-    return candidates
+        return None
 
 
 def check_S5_isometry(
     g: GramLattice, h: Vector, m: Optional[Matrix]
 ) -> StepResult:
     """Infinite-order cone-preserving isometry moving the polarization,
-    plus the least n acting trivially on the discriminant group."""
+    plus the least n acting trivially on the discriminant group. With no
+    isometry supplied, the automorph generator is checked."""
     citation = (
         "Lemma autom: infinite-order isometry with g*(h) != h; "
         "sigma^n = id on the discriminant group; realization via "
@@ -312,16 +318,15 @@ def check_S5_isometry(
     )
     h_norm, _ = normalize_polarization(h)
     if m is None:
-        for candidate in _isometry_candidates(g):
-            result = _validate_isometry(g, h_norm, candidate, citation)
-            if result.status == "pass":
-                return result
-        return StepResult(
-            "S5",
-            "fail",
-            citation,
-            witness="no qualifying isometry found among automorph candidates",
-        )
+        m = _automorph(g)
+        if m is None:
+            return StepResult(
+                "S5",
+                "fail",
+                citation,
+                witness="no automorph generator: the discriminant is not "
+                "a positive nonsquare",
+            )
     return _validate_isometry(g, h_norm, m, citation)
 
 

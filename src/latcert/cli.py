@@ -76,6 +76,8 @@ def load_document(path: str) -> dict:
     _require_int_vector(raw["polarization"], "polarization")
     if raw.get("isometry") is not None:
         _require_int_matrix(raw["isometry"], "isometry")
+        if len(raw["isometry"]) != 2 or any(len(r) != 2 for r in raw["isometry"]):
+            raise DocumentError("field isometry must be a 2x2 matrix")
     for key in ("degree_bound", "search_bound", "box_radius"):
         if key in raw and (not isinstance(raw[key], int) or raw[key] < 1):
             raise DocumentError(f"field {key} must be a positive integer")

@@ -10,10 +10,11 @@ from .isometry import is_isometry
 from .lattice import GramLattice
 from .matrices import (
     Matrix,
+    adjugate,
+    det,
     from_rows,
     identity,
     mat_mul,
-    mat_vec,
     rational_inverse,
 )
 
@@ -21,7 +22,8 @@ FracVector = tuple[Fraction, ...]
 
 
 class SmithDecomposition(NamedTuple):
-    """U * M * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
+    """U * M * V = D for a 2x2 M, with U, V unimodular and
+    D = diag(d1, d2), d1 | d2."""
 
     U: Matrix
     D: Matrix
@@ -29,98 +31,53 @@ class SmithDecomposition(NamedTuple):
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.D[i][i] for i in range(min(len(self.D), len(self.D[0]))))
+        return (self.D[0][0], self.D[1][1])
 
 
 def smith_normal_form(m) -> SmithDecomposition:
-    """Exact Smith normal form by elementary row/column reduction,
-    pivoting on the smallest nonzero entry."""
-    a = [list(row) for row in m]
-    rows = len(a)
-    if rows == 0 or len(a[0]) == 0:
-        raise ValueError("matrix must be nonzero")
-    cols = len(a[0])
-    u = [list(r) for r in identity(rows)]
-    v = [list(r) for r in identity(cols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        for k in range(cols):
-            a[i][k] -= q * a[j][k]
-        for k in range(rows):
-            u[i][k] -= q * u[j][k]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for k in range(rows):
-            a[k][i] -= q * a[k][j]
-        for k in range(cols):
-            v[k][i] -= q * v[k][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for k in range(rows):
-            a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(cols):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # find smallest nonzero entry in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (
-                    pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
-                ):
-                    pivot = (i, j)
-        if pivot is None:
+    """Exact Smith normal form of a 2x2 integer matrix (Cohen, GTM 138,
+    section 2.4.4): pivot on the smallest nonzero entry, the first in
+    row-major order on a tie; clear its row and column by Euclidean
+    steps, swapping in a nonzero remainder; when the pivot does not
+    divide the remaining entry, add that row to the pivot row and pivot
+    again; finally make the diagonal nonnegative by negating rows."""
+    try:
+        (a, b), (c, d) = m
+    except (TypeError, ValueError):
+        raise ValueError("smith_normal_form takes a 2x2 matrix") from None
+    u00, u01, u10, u11 = 1, 0, 0, 1
+    v00, v01, v10, v11 = 1, 0, 0, 1
+    while a or b or c or d:
+        entries = (a, b, c, d)
+        p = min((i for i in range(4) if entries[i]), key=lambda i: abs(entries[i]))
+        if p >= 2:  # swap the rows
+            a, b, c, d = c, d, a, b
+            u00, u01, u10, u11 = u10, u11, u00, u01
+        if p % 2:  # swap the columns
+            a, b, c, d = b, a, d, c
+            v00, v01, v10, v11 = v01, v00, v11, v10
+        while b or c:
+            if c:  # row 1 -= q * row 0
+                q = c // a
+                c, d, u10, u11 = c - q * a, d - q * b, u10 - q * u00, u11 - q * u01
+                if c:
+                    a, b, c, d = c, d, a, b
+                    u00, u01, u10, u11 = u10, u11, u00, u01
+            if b:  # column 1 -= q * column 0
+                q = b // a
+                b, d, v01, v11 = b - q * a, d - q * c, v01 - q * v00, v11 - q * v10
+                if b:
+                    a, b, c, d = b, a, d, c
+                    v00, v01, v10, v11 = v01, v00, v11, v10
+        if d % a == 0:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # clear the pivot row and column
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # enforce divisibility of the rest of the block by the pivot
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # add offending row to the pivot row
-            continue
-        t += 1
-
-    # normalize signs on the diagonal
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            for k in range(cols):
-                a[i][k] = -a[i][k]
-            for k in range(rows):
-                u[i][k] = -u[i][k]
-
+        b, u00, u01 = d, u00 + u10, u01 + u11  # row 0 += row 1, with c = 0
+    if a < 0:
+        a, u00, u01 = -a, -u00, -u01
+    if d < 0:
+        d, u10, u11 = -d, -u10, -u11
     return SmithDecomposition(
-        U=from_rows(u), D=from_rows(a), V=from_rows(v)
+        U=((u00, u01), (u10, u11)), D=((a, b), (c, d)), V=((v00, v01), (v10, v11))
     )
 
 
@@ -209,28 +166,41 @@ class DiscAction(NamedTuple):
     def compose(self, other: "DiscAction") -> "DiscAction":
         if self.factors != other.factors:
             raise ValueError("actions on different groups")
-        prod = mat_mul(self.matrix, other.matrix)
+        if len(self.factors) == 2:
+            prod = mat_mul(self.matrix, other.matrix)
+        else:  # a cyclic group (1x1 matrices) or the trivial one (0x0)
+            prod = tuple((x * y,) for (x,), (y,) in zip(self.matrix, other.matrix))
         return DiscAction(matrix=prod, factors=self.factors)
 
 
 def induced_action(g: GramLattice, m: Matrix) -> DiscAction:
-    """The map induced by the isometry m on the discriminant generators.
+    """The map induced by the isometry m on the discriminant generators,
+    in integers.
 
     Column j of the action matrix is the generator coordinates of the
-    class of m*w_j.
+    class of m*w_j. With w_j = adj(U*G) e_j / det(U*G) (see
+    discriminant_group), entry (i, j) is row i of U*G times m times
+    column j of adj(U*G), divided by det(U*G). The division is exact:
+    m maps L* to itself, and U*G maps L* into Z^2.
     """
     if not is_isometry(g, m):
         raise ValueError("matrix is not an isometry of the lattice")
-    group = discriminant_group(g)
-    cols = []
-    for w in group.generators:
-        coords = mat_vec(group.coordinates, mat_vec(m, w))
-        assert all(c.denominator == 1 for c in coords)
-        cols.append([int(c) for c in coords])
-    matrix = from_rows(
-        [[col[i] for col in cols] for i in range(len(group.coordinates))]
+    snf = smith_normal_form(g.entries)
+    ug = mat_mul(snf.U, g.entries)
+    image = mat_mul(mat_mul(ug, m), adjugate(ug))
+    scale = det(ug)
+    keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
+    rows = []
+    for i in keep:
+        row = []
+        for j in keep:
+            q, r = divmod(image[i][j], scale)
+            assert r == 0
+            row.append(q)
+        rows.append(tuple(row))
+    return DiscAction(
+        matrix=tuple(rows), factors=tuple(snf.diagonal[i] for i in keep)
     )
-    return DiscAction(matrix=matrix, factors=group.invariant_factors)
 
 
 def identity_action(factors: tuple[int, ...]) -> DiscAction:

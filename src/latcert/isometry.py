@@ -22,10 +22,11 @@ class OrderResult(NamedTuple):
 
 
 class QuadraticRoot(NamedTuple):
-    """Exact value p + q*sqrt(d) with rational p, q and squarefree d > 1."""
+    """Exact value p + q*sqrt(d) with rational p, q (an int when
+    integral) and squarefree d > 1."""
 
-    p: Fraction
-    q: Fraction
+    p: int | Fraction
+    q: int | Fraction
     d: int
 
     def __str__(self) -> str:
@@ -36,7 +37,7 @@ class CharData(NamedTuple):
     trace: int
     det: int
     dominant_root: Optional[QuadraticRoot]  # None when roots are rational
-    rational_root: Optional[Fraction] = None
+    rational_root: Optional[int | Fraction] = None
 
 
 def is_isometry(g: GramLattice, m: Matrix) -> bool:
@@ -105,6 +106,11 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
+def _half(n: int) -> int | Fraction:
+    """n / 2 exactly; a Fraction only when n is odd."""
+    return n // 2 if n % 2 == 0 else Fraction(n, 2)
+
+
 def char_poly_rank2(m: Matrix) -> CharData:
     """Characteristic data (trace, det) of a 2x2 matrix, with the
     dominant real root in exact symbolic form when it is irrational.
@@ -121,15 +127,12 @@ def char_poly_rank2(m: Matrix) -> CharData:
     if disc > 0:
         s = math.isqrt(disc)
         if s * s == disc:
-            root = Fraction(tr + s, 2)
-            return CharData(tr, dt, None, rational_root=root)
+            return CharData(tr, dt, None, rational_root=_half(tr + s))
         g = math.gcd(m[0][0] - m[1][1], m[0][1], m[1][0])
         sq, d = _squarefree_split(disc // (g * g))
-        return CharData(
-            tr, dt, QuadraticRoot(p=Fraction(tr, 2), q=Fraction(g * sq, 2), d=d)
-        )
+        return CharData(tr, dt, QuadraticRoot(p=_half(tr), q=_half(g * sq), d=d))
     if disc == 0:
-        return CharData(tr, dt, None, rational_root=Fraction(tr, 2))
+        return CharData(tr, dt, None, rational_root=_half(tr))
     return CharData(tr, dt, None)  # complex roots
 
 

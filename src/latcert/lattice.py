@@ -73,11 +73,8 @@ def inner(g: GramLattice, u: Vector, v: Vector) -> int:
     """Bilinear pairing u^T * gram * v."""
     _check_length(g, u)
     _check_length(g, v)
-    return sum(
-        u[i] * g.entries[i][j] * v[j]
-        for i in range(g.rank)
-        for j in range(g.rank)
-    )
+    (a, b), (c, d) = g.entries
+    return u[0] * (a * v[0] + b * v[1]) + u[1] * (c * v[0] + d * v[1])
 
 
 def norm(g: GramLattice, v: Vector) -> int:

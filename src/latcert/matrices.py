@@ -1,4 +1,6 @@
-"""Small exact integer matrix helpers (rank <= 4, no floating point)."""
+"""Small exact integer helpers for 2x2 matrices and 2-vectors (no
+floating point). det, adjugate, mat_mul and mat_vec are closed-form 2x2
+formulas and raise ValueError on any other shape."""
 
 from __future__ import annotations
 
@@ -21,20 +23,24 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return (
+        (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+        (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
     )
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    (a, b), (c, d) = m
+    x, y = v
+    return (a * x + b * y, c * x + d * y)
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:
     if k < 0:
         raise ValueError("negative power not supported")
-    result = identity(len(m))
+    result = identity(2)
     base = m
     while k:
         if k & 1:
@@ -45,30 +51,13 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
 
 
 def det(m: Matrix) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        total += (-1) ** j * m[0][j] * det(minor)
-    return total
+    (a, b), (c, d) = m
+    return a * d - b * c
 
 
 def adjugate(m: Matrix) -> Matrix:
-    n = len(m)
-    if n == 1:
-        return ((1,),)
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i
-            )
-            row.append((-1) ** (i + j) * det(minor))
-        cof.append(tuple(row))
-    return transpose(tuple(cof))
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
 
 
 def unimodular_inverse(m: Matrix) -> Matrix:

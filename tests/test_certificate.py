@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -17,9 +18,11 @@ from latcert.certificate import (
     enumerate_low_degree,
     run_certificate,
 )
+from latcert import quadform
+from latcert.discgroup import discriminant_group
 from latcert.lattice import GramLattice, inner, norm
-from latcert.matrices import mat_pow, unimodular_inverse
-from latcert.oracle import brute_low_degree
+from latcert.matrices import from_rows, mat_pow, unimodular_inverse
+from latcert.oracle import brute_action_order, brute_low_degree
 
 from .conftest import CONSTRUCTION_PATHS, rebuild
 
@@ -192,6 +195,70 @@ class TestS5:
         result = check_S5_isometry(paper_lattice, (1, 0), None)
         assert result.status == "pass"
         assert result.details["disc_action_order"] == 4
+
+    def test_cyclic_discriminant_group(self):
+        # L*/L = Z/305, so the action is a 1x1 matrix
+        g = GramLattice.from_rows([[4, 1], [1, -76]])
+        report = run_certificate(CertificateInput(gram=g, polarization=(1, 0)))
+        assert report.verdict == "pass"
+        s5 = report.step("S5").details
+        assert discriminant_group(g).invariant_factors == (305,)
+        assert s5["disc_action_order"] == 2
+        assert brute_action_order(g, from_rows(s5["isometry"])) == 2
+
+    def test_no_fraction_on_the_certificate_path(
+        self, monkeypatch, paper_lattice, sigma
+    ):
+        # S1-S5 run in integers; the only Fraction left is a half-integer
+        # dominant root, and these roots are integral.
+        built = []
+        original = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        inputs = [
+            CertificateInput(paper_lattice, (1, 0), isometry=mat_pow(sigma, k))
+            for k in range(1, 65)
+        ]
+        inputs.append(
+            CertificateInput(GramLattice.from_rows([[4, 1], [1, -76]]), (1, 0))
+        )
+        for inp in inputs:
+            assert run_certificate(inp).verdict == "pass"
+        assert built == []
+
+    def test_automorph_generator_always_qualifies(self):
+        # Every even indefinite [[2a,b],[b,2c]] with |a|, |c| <= 8,
+        # 0 <= b <= 11 whose primitive form f0 has a nonsquare discriminant
+        # D and an automorph with u < 2000 (so the linear search in
+        # automorph_generator stays short), and every h of positive norm
+        # among six: S5 passes with the generator itself.
+        polarizations = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))
+        cases = 0
+        for a, b, c in itertools.product(range(-8, 9), range(12), range(-8, 9)):
+            if 4 * a * c - b * b >= 0:
+                continue
+            k = math.gcd(a, b, c)
+            f0 = quadform.BinaryForm(a // k, b // k, c // k)
+            d = f0.discriminant
+            if math.isqrt(d) ** 2 == d or not any(
+                math.isqrt(d * u * u + 4) ** 2 == d * u * u + 4
+                for u in range(1, 2000)
+            ):
+                continue
+            g = GramLattice.from_rows([[2 * a, b], [b, 2 * c]])
+            gen = [list(row) for row in quadform.automorph_generator(f0)]
+            for h in polarizations:
+                if norm(g, h) <= 0:
+                    continue
+                result = check_S5_isometry(g, h, None)
+                assert result.status == "pass", (a, b, c, h)
+                assert result.details["isometry"] == gen
+                cases += 1
+        assert cases == 4488
 
 
 class TestRunCertificate:

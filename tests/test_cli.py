@@ -241,6 +241,22 @@ def test_gram_other_than_2x2_rejected(capsys, tmp_path, cmd, gram):
     assert f"rank {len(gram)}" in err
 
 
+@pytest.mark.parametrize("cmd", ["check", "disc", "orbit", "enumerate"])
+@pytest.mark.parametrize("isometry", [[[10, 1, 5], [-1, 0, 7]], [[10], [-1, 0]]])
+def test_isometry_other_than_2x2_rejected(capsys, tmp_path, cmd, isometry):
+    # orbit used to drop the third column silently, or die with IndexError
+    path = tmp_path / "doc.json"
+    path.write_text(
+        json.dumps(
+            {"gram": [[4, 20], [20, 4]], "polarization": [1, 0], "isometry": isometry}
+        )
+    )
+    code, out, err = run_cli(capsys, cmd, str(path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "isometry must be a 2x2 matrix" in err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_orbit_too_long_to_print_leaves_stdout_empty(capsys, tmp_path, fmt):
     # with sigma^60 as the isometry, orbit entries pass 4300 digits by k = 80
