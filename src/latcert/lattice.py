@@ -62,17 +62,11 @@ class GramLattice(_GramEntries):
         return len(self.entries)
 
 
-def _check_length(g: GramLattice, v: Vector) -> None:
-    if len(v) != g.rank:
-        raise ValueError(
-            f"vector length {len(v)} does not match lattice rank {g.rank}"
-        )
-
-
 def inner(g: GramLattice, u: Vector, v: Vector) -> int:
     """Bilinear pairing u^T * gram * v."""
-    _check_length(g, u)
-    _check_length(g, v)
+    if len(u) != 2 or len(v) != 2:
+        n = len(u) if len(u) != 2 else len(v)
+        raise ValueError(f"vector length {n} does not match lattice rank 2")
     (a, b), (c, d) = g.entries
     return u[0] * (a * v[0] + b * v[1]) + u[1] * (c * v[0] + d * v[1])
 

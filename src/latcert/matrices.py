@@ -37,19 +37,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return (a * x + b * y, c * x + d * y)
 
 
-def mat_pow(m: Matrix, k: int) -> Matrix:
-    if k < 0:
-        raise ValueError("negative power not supported")
-    result = identity(2)
-    base = m
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
-
-
 def det(m: Matrix) -> int:
     (a, b), (c, d) = m
     return a * d - b * c
@@ -58,14 +45,6 @@ def det(m: Matrix) -> int:
 def adjugate(m: Matrix) -> Matrix:
     (a, b), (c, d) = m
     return ((d, -b), (-c, a))
-
-
-def unimodular_inverse(m: Matrix) -> Matrix:
-    d = det(m)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {d})")
-    adj = adjugate(m)
-    return tuple(tuple(x * d for x in row) for row in adj)
 
 
 def rational_inverse(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:

@@ -1,7 +1,8 @@
 """Diophantine kernel for binary quadratic forms of rank-2 lattices.
 
 Representability decisions run as a staged pipeline (content filter,
-congruence filter, Pell-class search with an exact class bound) and
+congruence filter, Pell-class search with an exact class bound, box
+scans at one root solve per row: O(box), not O(box^2) points) and
 return an honest "unknown" when the search budget is exhausted.
 """
 
@@ -11,9 +12,9 @@ import math
 from typing import NamedTuple, Optional
 
 from .lattice import GramLattice, determinant
-from .matrices import Matrix, from_rows
+from .matrices import Matrix, from_rows, mat_vec
 
-DEFAULT_MODULI = (3, 5, 8, 16)
+DEFAULT_MODULI = (3, 5, 16)
 
 # Reason codes for negative/unknown representability outcomes.
 REASON_CONTENT = "content-divisibility"
@@ -129,14 +130,20 @@ def pell_fundamental(d: int) -> PellSolution:
 
 
 def _congruence_blocks(f: BinaryForm, t: int) -> bool:
-    """True if some modulus in DEFAULT_MODULI rules out f(x, y) = t."""
-    for k in DEFAULT_MODULI:
-        attained = {
-            f.evaluate(x, y) % k for x in range(k) for y in range(k)
-        }
-        if t % k not in attained:
-            return True
-    return False
+    """True if some modulus in DEFAULT_MODULI rules out f(x, y) = t.
+    Each modulus k stops at the first residues x, y with f(x, y) = t
+    (mod k); y needs only 0..k/2, as f(-x, -y) = f(x, y). The modulus 8
+    is left out: 8 divides 16, so f(x, y) = t (mod 16) gives
+    f(x, y) = t (mod 8), and whenever 8 rules t out, so does 16."""
+    a, b, c = f
+    return any(
+        all(
+            (a * x * x + b * x * y + c * y * y - t) % k
+            for x in range(k)
+            for y in range(k // 2 + 1)
+        )
+        for k in DEFAULT_MODULI
+    )
 
 
 def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
@@ -219,25 +226,45 @@ def _pell_class_search(
     return Representation(status="no", reason=REASON_PELL)
 
 
+def _int_roots(qa: int, qb: int, qc: int) -> list[int]:
+    """The integer roots of qa*y^2 + qb*y + qc = 0 (qa != 0), ascending."""
+    disc = qb * qb - 4 * qa * qc
+    if not _is_square(disc):
+        return []
+    s = math.isqrt(disc)
+    den = 2 * qa
+    return sorted({num // den for num in (-qb - s, -qb + s) if num % den == 0})
+
+
 def _unimodular_to_leading_one(
     f: BinaryForm, box: int
 ) -> Optional[tuple[BinaryForm, Matrix]]:
-    """Search a small box for a primitive value +-1 of f and return an
-    equivalent form with leading coefficient +-1 plus the change of
-    variables (as a column-action matrix)."""
-    for r in range(-box, box + 1):
-        for s in range(-box, box + 1):
-            if math.gcd(r, s) != 1:
-                continue
-            if abs(f.evaluate(r, s)) != 1:
-                continue
-            # complete (r, s) to a unimodular matrix [[r, p], [s, q]]
-            _, xg, yg = _extended_gcd(r, s)
-            q, p = xg, -yg  # r*q - s*p = r*xg + s*yg = 1
-            a2 = f.evaluate(r, s)
-            b2 = 2 * f.a * r * p + f.b * (r * q + s * p) + 2 * f.c * s * q
-            c2 = f.evaluate(p, q)
-            return BinaryForm(a2, b2, c2), from_rows([[r, p], [s, q]])
+    """Find the first (r, s) in a small box, r ascending, then s, with
+    f(r, s) = +-1; return an equivalent form with leading coefficient
+    f(r, s) and the change of variables (a column-action matrix).
+    Each row costs two root solves in s: O(box), not O(box^2) (c != 0,
+    as the caller passes only nonsquare discriminants). A row r > 0
+    holds only mirrors (-r, -s) of hits in row -r; gcd(r, s)^2 divides
+    f(r, s) = +-1, so every hit is primitive.
+    """
+    a, b, c = f
+    for r in range(-box, 1):
+        hits = [
+            s
+            for target in (1, -1)
+            for s in _int_roots(c, b * r, a * r * r - target)
+            if -box <= s <= box
+        ]
+        if not hits:
+            continue
+        s = min(hits)
+        # complete (r, s) to a unimodular matrix [[r, p], [s, q]]
+        _, xg, yg = _extended_gcd(r, s)
+        q, p = xg, -yg  # r*q - s*p = r*xg + s*yg = 1
+        a2 = f.evaluate(r, s)
+        b2 = 2 * a * r * p + b * (r * q + s * p) + 2 * c * s * q
+        c2 = f.evaluate(p, q)
+        return BinaryForm(a2, b2, c2), from_rows([[r, p], [s, q]])
     return None
 
 
@@ -306,24 +333,23 @@ def _decide_primitive(
         return r
     if f0.a == -1 or f0.c == -1:
         neg = BinaryForm(-f0.a, -f0.b, -f0.c)
-        r = _decide_primitive(neg, -t0, search_bound)
-        return r
+        return _decide_primitive(neg, -t0, search_bound)
     # leading coefficient not +-1: try a unimodular change of variables
     found = _unimodular_to_leading_one(f0, box=20)
     if found is not None:
         f1, m = found
         r = _decide_primitive(f1, t0, search_bound)
         if r.is_yes:
-            u, v = r.witness
-            x = m[0][0] * u + m[0][1] * v
-            y = m[1][0] * u + m[1][1] * v
-            return Representation(status="yes", witness=(x, y))
+            return Representation(status="yes", witness=mat_vec(m, r.witness))
         return r
-    # fall back to a direct witness scan before answering "unknown"
+    # fall back to a direct witness scan before answering "unknown": the
+    # first (x, y) in the box with f0(x, y) = t0, x ascending, then y, by
+    # one root solve per row (c != 0, as the discriminant is not a
+    # square); a row x > 0 holds only mirrors of hits in row -x
     box = min(50, search_bound)
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            if f0.evaluate(x, y) == t0:
+    for x in range(-box, 1):
+        for y in _int_roots(f0.c, f0.b * x, f0.a * x * x - t0):
+            if -box <= y <= box:
                 return Representation(status="yes", witness=(x, y))
     return Representation(status="unknown", reason=REASON_PELL)
 

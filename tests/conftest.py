@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from latcert.lattice import GramLattice
-from latcert.matrices import det, from_rows
+from latcert.matrices import adjugate, det, from_rows, identity, mat_mul
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -78,6 +78,28 @@ ELEMENTARY_OPS = st.lists(
     ),
     max_size=8,
 )
+
+
+def mat_pow(m, k):
+    """m^k for a 2x2 integer matrix and k >= 0, by repeated squaring."""
+    if k < 0:
+        raise ValueError("negative power not supported")
+    result = identity(2)
+    base = m
+    while k:
+        if k & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base)
+        k >>= 1
+    return result
+
+
+def unimodular_inverse(m):
+    """The integer inverse of a 2x2 matrix of determinant +-1."""
+    d = det(m)
+    if d not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det {d})")
+    return tuple(tuple(x * d for x in row) for row in adjugate(m))
 
 
 def random_unimodular(rank, ops):

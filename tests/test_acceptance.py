@@ -12,7 +12,7 @@ from latcert.certificate import CertificateInput, run_certificate
 from latcert.discgroup import action_order, induced_action, smith_normal_form
 from latcert.isometry import char_poly_rank2, is_isometry, order
 from latcert.lattice import GramLattice, determinant, inner, norm
-from latcert.matrices import det, from_rows, mat_mul, mat_pow, mat_vec, transpose
+from latcert.matrices import det, from_rows, mat_mul, mat_vec, transpose
 from latcert.oracle import (
     brute_action_order,
     brute_low_degree,
@@ -21,7 +21,7 @@ from latcert.oracle import (
 )
 from latcert.quadform import pell_fundamental, represents_value
 
-from .conftest import PAPER_GRAM, PAPER_SIGMA
+from .conftest import PAPER_GRAM, PAPER_SIGMA, mat_pow
 from .test_discgroup import assert_valid_snf
 
 BUNDLED_LATTICES = {

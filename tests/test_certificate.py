@@ -21,10 +21,15 @@ from latcert.certificate import (
 from latcert import quadform
 from latcert.discgroup import discriminant_group
 from latcert.lattice import GramLattice, inner, norm
-from latcert.matrices import from_rows, mat_pow, unimodular_inverse
+from latcert.matrices import from_rows
 from latcert.oracle import brute_action_order, brute_low_degree
 
-from .conftest import CONSTRUCTION_PATHS, rebuild
+from .conftest import (
+    CONSTRUCTION_PATHS,
+    mat_pow,
+    rebuild,
+    unimodular_inverse,
+)
 
 
 class TestS1:

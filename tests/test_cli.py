@@ -18,8 +18,10 @@ from latcert.cli import (
     main,
 )
 from latcert.lattice import GramLattice
-from latcert.matrices import from_rows, mat_pow
+from latcert.matrices import from_rows
 from latcert.oracle import MAX_BOX_RADIUS
+
+from .conftest import mat_pow
 
 BUNDLED = (
     "gizatullin.json",

@@ -12,7 +12,7 @@ from latcert.discgroup import (
 from latcert.lattice import GramLattice
 from latcert.matrices import det, from_rows, identity, mat_mul
 
-from .conftest import nondegenerate_lattices
+from .conftest import nondegenerate_lattices, unimodular_inverse
 
 
 def int_matrices(lo=-50, hi=50):
@@ -120,8 +120,6 @@ class TestInducedAction:
         assert n == brute_action_order(paper_lattice, sigma)
 
     def test_functoriality(self, paper_lattice, sigma):
-        from latcert.matrices import unimodular_inverse
-
         swap = ((0, 1), (1, 0))
         for a, b in [(sigma, sigma), (sigma, swap), (swap, unimodular_inverse(sigma))]:
             composed = induced_action(paper_lattice, mat_mul(a, b))

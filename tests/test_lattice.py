@@ -75,6 +75,16 @@ class TestInner:
         with pytest.raises(ValueError, match="length"):
             inner(paper_lattice, (1, 0, 0), (0, 1))
 
+    @pytest.mark.parametrize(
+        "u, v, n",
+        [((1, 0, 0), (0, 1), 3), ((1, 0), (1,), 1), ((1,), (1, 2, 3), 1)],
+    )
+    def test_dimension_mismatch_message(self, paper_lattice, u, v, n):
+        message = f"vector length {n} does not match lattice rank 2"
+        with pytest.raises(ValueError) as err:
+            inner(paper_lattice, u, v)
+        assert str(err.value) == message
+
 
 class TestNorm:
     def test_h1_squared(self, paper_lattice):

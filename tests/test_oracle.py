@@ -11,7 +11,7 @@ from latcert.quadform import (
     content,
     to_binary_form,
 )
-from latcert.matrices import identity, mat_pow
+from latcert.matrices import identity
 from latcert.oracle import (
     brute_action_order,
     brute_low_degree,
@@ -19,6 +19,8 @@ from latcert.oracle import (
     brute_values,
     required_box_radius,
 )
+
+from .conftest import mat_pow
 
 
 class TestBruteValues:

@@ -13,7 +13,9 @@ import pytest
 from latcert import quadform
 from latcert.discgroup import induced_action, smith_normal_form
 from latcert.lattice import GramLattice
-from latcert.matrices import adjugate, det, mat_mul, mat_pow, mat_vec
+from latcert.matrices import adjugate, det, mat_mul, mat_vec
+
+from .conftest import mat_pow
 
 ALL_SMALL = [
     ((a, b), (c, d)) for a, b, c, d in itertools.product(range(-6, 7), repeat=4)

@@ -1,0 +1,306 @@
+"""S2's box scans against the 2-D scans they replaced, kept here as
+references: the box-20 search for a value +-1 in
+`_unimodular_to_leading_one`, the box-50 witness scan at the end of
+`_decide_primitive`, and the set-based congruence filter over the
+moduli 3, 5, 8 and 16. Verdicts, witnesses and reason codes must be
+identical; the new scans solve one quadratic per scan row instead of
+visiting every point of the box."""
+
+import functools
+import itertools
+import math
+import random
+
+import pytest
+
+from latcert import quadform
+from latcert.lattice import GramLattice
+from latcert.matrices import from_rows
+from latcert.quadform import (
+    REASON_CONGRUENCE,
+    REASON_CONTENT,
+    REASON_NONSQUARE_DISC,
+    REASON_PELL,
+    BinaryForm,
+    Representation,
+    represents_value,
+)
+
+REF_MODULI = (3, 5, 8, 16)
+T_VALUES = (0, 1, -1, 2, -2, 4, -4, -6, 12)
+UNIMODULAR_BOX = 20
+FALLBACK_BOX = 50
+# the most _int_roots calls one query may make: two per scanned row of
+# the box-20 search and one per scanned row of the box-50 scan, where
+# only the rows -box..0 are scanned (the others hold mirror images)
+ROOT_SOLVES_PER_QUERY = 2 * (UNIMODULAR_BOX + 1) + (FALLBACK_BOX + 1)
+
+
+def ref_congruence_blocks(f, t):
+    for k in REF_MODULI:
+        if t % k not in ref_attained(BinaryForm(f.a % k, f.b % k, f.c % k), k):
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def ref_attained(f, k):
+    """The residues mod k of f; they depend only on f mod k."""
+    return {f.evaluate(x, y) % k for x in range(k) for y in range(k)}
+
+
+@functools.lru_cache(maxsize=16)
+def ref_unimodular_to_leading_one(f, box):
+    for r in range(-box, box + 1):
+        for s in range(-box, box + 1):
+            if math.gcd(r, s) != 1:
+                continue
+            if abs(f.evaluate(r, s)) != 1:
+                continue
+            _, xg, yg = quadform._extended_gcd(r, s)
+            q, p = xg, -yg
+            a2 = f.evaluate(r, s)
+            b2 = 2 * f.a * r * p + f.b * (r * q + s * p) + 2 * f.c * s * q
+            c2 = f.evaluate(p, q)
+            return BinaryForm(a2, b2, c2), from_rows([[r, p], [s, q]])
+    return None
+
+
+@functools.lru_cache(maxsize=16)
+def ref_first_witnesses(f0, box):
+    """value -> the first (x, y) of the 2-D fallback scan (x ascending,
+    then y ascending) at which f0 takes that value; one scan serves
+    every target value of the same form."""
+    first = {}
+    for x in range(-box, box + 1):
+        for y in range(-box, box + 1):
+            first.setdefault(f0.evaluate(x, y), (x, y))
+    return first
+
+
+def ref_decide_primitive(f0, t0, search_bound):
+    if quadform._is_square(f0.discriminant):
+        w = quadform._divisor_search(f0, t0)
+        if w is not None:
+            return Representation(status="yes", witness=w)
+        return Representation(status="no", reason=REASON_PELL)
+    if f0.a == 1:
+        return quadform._pell_class_search(f0, t0, search_bound)
+    if f0.c == 1:
+        r = quadform._pell_class_search(
+            BinaryForm(f0.c, f0.b, f0.a), t0, search_bound
+        )
+        if r.is_yes:
+            return Representation(status="yes", witness=r.witness[::-1])
+        return r
+    if f0.a == -1 or f0.c == -1:
+        neg = BinaryForm(-f0.a, -f0.b, -f0.c)
+        return ref_decide_primitive(neg, -t0, search_bound)
+    found = ref_unimodular_to_leading_one(f0, UNIMODULAR_BOX)
+    if found is not None:
+        f1, m = found
+        r = ref_decide_primitive(f1, t0, search_bound)
+        if r.is_yes:
+            u, v = r.witness
+            x = m[0][0] * u + m[0][1] * v
+            y = m[1][0] * u + m[1][1] * v
+            return Representation(status="yes", witness=(x, y))
+        return r
+    w = ref_first_witnesses(f0, min(FALLBACK_BOX, search_bound)).get(t0)
+    if w is not None:
+        return Representation(status="yes", witness=w)
+    return Representation(status="unknown", reason=REASON_PELL)
+
+
+def ref_represents_value(g, t, search_bound=1000):
+    f = quadform.to_binary_form(g)
+    if t == 0:
+        if quadform.represents_zero_nontrivially(f):
+            return Representation(
+                status="yes", witness=quadform.zero_witness(f)
+            )
+        return Representation(status="no", reason=REASON_NONSQUARE_DISC)
+    cont = quadform.content(f)
+    if t % cont != 0:
+        return Representation(status="no", reason=REASON_CONTENT)
+    if ref_congruence_blocks(f, t):
+        return Representation(status="no", reason=REASON_CONGRUENCE)
+    f0 = BinaryForm(f.a // cont, f.b // cont, f.c // cont)
+    return ref_decide_primitive(f0, t // cont, search_bound)
+
+
+def small_sweep():
+    """Every even indefinite [[2a,b],[b,2c]] with |a|, |c| <= 8 and
+    0 <= b <= 11."""
+    return [
+        [[2 * a, b], [b, 2 * c]]
+        for a, c, b in itertools.product(range(-8, 9), range(-8, 9), range(12))
+        if 4 * a * c - b * b < 0
+    ]
+
+
+def seeded_grams(seed, count, half_diag, off_diag):
+    """`count` draws of [[A,B],[B,C]] with A, C even, |A|, |C| <=
+    2*half_diag and |B| <= off_diag; the indefinite ones are kept."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a = 2 * rng.randint(-half_diag, half_diag)
+        c = 2 * rng.randint(-half_diag, half_diag)
+        b = rng.randint(-off_diag, off_diag)
+        if a * c - b * b < 0:
+            out.append([[a, b], [b, c]])
+    return out
+
+
+def census_window():
+    """The 450 reduced pairs [[4,b],[b,2c]], 0 <= b <= 2, with
+    -1200 <= det < 0."""
+    return [
+        [[4, b], [b, 2 * c]]
+        for b in range(3)
+        for c in range(0 if b else -1, -200, -1)
+        if b * b - 8 * c <= 1200
+    ]
+
+
+def assert_same_representations(grams, t_values):
+    for rows in grams:
+        g = GramLattice.from_rows(rows)
+        for t in t_values:
+            assert represents_value(g, t) == ref_represents_value(g, t), (
+                rows,
+                t,
+            )
+
+
+def forms_of(grams):
+    return [quadform.to_binary_form(GramLattice.from_rows(r)) for r in grams]
+
+
+class TestIntRoots:
+    def test_small_coefficients_against_direct_check(self):
+        for qa, qb, qc in itertools.product(range(-6, 7), repeat=3):
+            if qa == 0:
+                continue
+            # every integer root has |y| <= 1 + max(|qb|, |qc|) <= 7
+            expected = [
+                y for y in range(-50, 51) if qa * y * y + qb * y + qc == 0
+            ]
+            assert quadform._int_roots(qa, qb, qc) == expected, (qa, qb, qc)
+
+    def test_large_roots_recovered(self):
+        rng = random.Random(81)
+        for _ in range(500):
+            qa = rng.choice([-1, 1]) * rng.randint(1, 10**12)
+            r1, r2 = (rng.randint(-(10**15), 10**15) for _ in range(2))
+            qb, qc = -qa * (r1 + r2), qa * r1 * r2
+            assert quadform._int_roots(qa, qb, qc) == sorted({r1, r2})
+            # one off the constant term: whatever comes back is a root
+            for y in quadform._int_roots(qa, qb, qc + 1):
+                assert qa * y * y + qb * y + qc + 1 == 0
+
+
+class TestUnimodularScan:
+    def test_small_sweep_matches_2d_scan(self):
+        for f in set(forms_of(small_sweep())):
+            f0 = BinaryForm(*(x // quadform.content(f) for x in f))
+            if quadform._is_square(f0.discriminant):
+                continue
+            got = quadform._unimodular_to_leading_one(f0, UNIMODULAR_BOX)
+            assert got == ref_unimodular_to_leading_one(f0, UNIMODULAR_BOX), f0
+
+    def test_transformed_unit_forms_match_2d_scan(self):
+        # f1 with leading coefficient +-1, seen through a small unimodular
+        # change of variables, has its value +-1 somewhere in the box
+        rng = random.Random(82)
+        checked = 0
+        while checked < 400:
+            a1 = rng.choice([1, -1])
+            b1 = rng.randint(-(10**12), 10**12)
+            c1 = rng.randint(-(10**12), 10**12)
+            f1 = BinaryForm(a1, b1, c1)
+            if quadform._is_square(f1.discriminant):
+                continue
+            p, q = rng.randint(-9, 9), rng.randint(-9, 9)
+            g, xg, yg = quadform._extended_gcd(p, q)
+            if g != 1:
+                continue
+            # f(x, y) = f1(xg*x + yg*y, -q*x + p*y), an equivalent form
+            a = f1.evaluate(xg, -q)
+            c = f1.evaluate(yg, p)
+            b = f1.evaluate(xg + yg, p - q) - a - c
+            f = BinaryForm(a, b, c)
+            if abs(a) == 1 or abs(c) == 1:
+                continue
+            got = quadform._unimodular_to_leading_one(f, UNIMODULAR_BOX)
+            assert got is not None
+            assert got == ref_unimodular_to_leading_one(f, UNIMODULAR_BOX), f
+            checked += 1
+
+    @pytest.mark.parametrize("box", [0, 1, 5])
+    def test_small_boxes_match_2d_scan(self, box):
+        for f in set(forms_of(small_sweep())):
+            if quadform._is_square(f.discriminant):
+                continue
+            got = quadform._unimodular_to_leading_one(f, box)
+            assert got == ref_unimodular_to_leading_one(f, box), f
+
+
+class TestCongruenceFilter:
+    def test_residues_mod_240_match_set_filter(self):
+        # 240 = 3 * 5 * 16 is the period of every modulus in both filters
+        rng = random.Random(83)
+        for _ in range(6000):
+            a, b, c, t = (rng.randrange(240) for _ in range(4))
+            f = BinaryForm(a, b, c)
+            assert quadform._congruence_blocks(f, t) == ref_congruence_blocks(
+                f, t
+            ), (a, b, c, t)
+
+
+class TestRepresentsValue:
+    def test_small_sweep_matches_reference(self):
+        assert_same_representations(small_sweep(), T_VALUES)
+
+    def test_seeded_grams_match_reference(self):
+        assert_same_representations(seeded_grams(84, 500, 100, 300), T_VALUES)
+
+    def test_huge_grams_match_reference(self):
+        grams = seeded_grams(85, 60, 5 * 10**11, 10**12)
+        assert_same_representations(grams, T_VALUES)
+
+    def test_huge_grams_with_box_witness_match_reference(self):
+        # t = f(x, y) at a point of the box-50 scan; the scan has to
+        # return the first witness in its order, not just any witness
+        rng = random.Random(86)
+        for rows in seeded_grams(87, 80, 5 * 10**11, 10**12):
+            g = GramLattice.from_rows(rows)
+            f = quadform.to_binary_form(g)
+            x, y = rng.randint(-50, 50), rng.randint(-50, 50)
+            t = f.evaluate(x, y)
+            if t == 0:
+                continue
+            got = represents_value(g, t)
+            assert got == ref_represents_value(g, t), (rows, t)
+            assert got.is_yes
+
+    def test_census_window_matches_reference_within_root_budget(
+        self, monkeypatch
+    ):
+        calls = []
+        real = quadform._int_roots
+
+        def spy(qa, qb, qc):
+            calls.append(None)
+            return real(qa, qb, qc)
+
+        monkeypatch.setattr(quadform, "_int_roots", spy)
+        window = census_window()
+        assert len(window) == 450
+        for rows in window:
+            g = GramLattice.from_rows(rows)
+            for t in (0, -2):
+                calls.clear()
+                assert represents_value(g, t) == ref_represents_value(g, t)
+                assert len(calls) <= ROOT_SOLVES_PER_QUERY, (rows, t)
