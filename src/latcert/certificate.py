@@ -22,7 +22,7 @@ import time
 from typing import NamedTuple, Optional
 
 from . import quadform
-from .discgroup import action_order, discriminant_group, induced_action
+from .discgroup import action_order, induced_action, smith_normal_form
 from .isometry import (
     char_poly_rank2,
     is_isometry,
@@ -222,30 +222,24 @@ def enumerate_low_degree(
             "assumptions established by earlier steps"
         )
     _, x0, y0 = quadform._extended_gcd(w[0], w[1])
+    # Degree d = scale * gcd_w is the line scale * (x0, y0) + k * direction,
+    # on which the square is a_coef*k^2 + scale*b1*k + scale^2*c1.
+    b1 = 2 * inner(g, (x0, y0), direction)
+    c1 = norm(g, (x0, y0))
     out = []
-    for d in range(1, bound):
-        if d % gcd_w != 0:
-            continue
-        scale = d // gcd_w
-        base = (x0 * scale, y0 * scale)
-        b_coef = 2 * inner(g, base, direction)
-        c_coef = norm(g, base)
+    for scale in range(1, (bound - 1) // gcd_w + 1):
+        b_coef, c_coef = scale * b1, scale * scale * c1
         disc = b_coef * b_coef - 4 * a_coef * c_coef
         if disc <= 0:
             continue
+        d, bx, by = scale * gcd_w, scale * x0, scale * y0
         k_lo, k_hi = _degree_window(a_coef, b_coef, disc)
         for k in range(k_lo, k_hi + 1):
-            if a_coef * k * k + b_coef * k + c_coef <= 0:
+            square = (a_coef * k + b_coef) * k + c_coef
+            if square <= 0:
                 continue
-            c = (base[0] + k * direction[0], base[1] + k * direction[1])
-            out.append(
-                LowDegreeClass(
-                    coords=c,
-                    degree=d,
-                    square=norm(g, c),
-                    multiple_of_h=multiple_of(c, h),
-                )
-            )
+            c = (bx + k * direction[0], by + k * direction[1])
+            out.append(LowDegreeClass(c, d, square, multiple_of(c, h)))
     out.sort(key=lambda cls: (cls.degree, cls.coords))
     return out
 
@@ -260,7 +254,10 @@ def check_S4_low_degree(
     )
     h_norm, _ = normalize_polarization(h)
     classes = enumerate_low_degree(g, h_norm, degree_bound)
-    listing = [{**c._asdict(), "coords": list(c.coords)} for c in classes]
+    listing = [
+        {"coords": list(xy), "degree": d, "square": sq, "multiple_of_h": m}
+        for xy, d, sq, m in classes
+    ]
     details = {"classes": listing, "degree_bound": degree_bound}
     for c in classes:
         if c.multiple_of_h is None:
@@ -357,9 +354,10 @@ def _validate_isometry(
     ord_result = order(m)
     if not ord_result.is_infinite:
         problems.append(f"isometry has finite order {ord_result.finite}")
-    if mat_vec(m, h) == h:
+    moves = mat_vec(m, h) != h
+    if not moves:
         problems.append("isometry fixes the polarization")
-    details["moves_polarization"] = mat_vec(m, h) != h
+    details["moves_polarization"] = moves
     if problems:
         return StepResult(
             "S5", "fail", citation, witness="; ".join(problems), details=details
@@ -439,9 +437,9 @@ def report_document(
         "derived": {
             "det": determinant(inp.gram),
             "signature": list(report.step("S1").details["signature"]),
-            "invariant_factors": list(
-                discriminant_group(inp.gram).invariant_factors
-            ),
+            "invariant_factors": [
+                d for d in smith_normal_form(inp.gram.entries).diagonal if d > 1
+            ],
             "disc_action_order": s5.get("disc_action_order"),
             "char_poly": s5.get("char_poly"),
             "dominant_root": s5.get("dominant_root"),

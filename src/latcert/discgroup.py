@@ -3,7 +3,6 @@ and induced isometry actions."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .isometry import is_isometry
@@ -13,12 +12,11 @@ from .matrices import (
     adjugate,
     det,
     from_rows,
-    identity,
     mat_mul,
     rational_inverse,
 )
 
-FracVector = tuple[Fraction, ...]
+FracVector = tuple["Fraction", ...]  # fractions.Fraction, imported where built
 
 
 class SmithDecomposition(NamedTuple):
@@ -156,22 +154,6 @@ class DiscAction(NamedTuple):
     def __hash__(self):
         return hash((self.factors, self._reduced()))
 
-    def is_identity(self) -> bool:
-        ident = tuple(
-            tuple((1 if i == j else 0) % d for j in range(len(self.factors)))
-            for i, d in enumerate(self.factors)
-        )
-        return self._reduced() == ident
-
-    def compose(self, other: "DiscAction") -> "DiscAction":
-        if self.factors != other.factors:
-            raise ValueError("actions on different groups")
-        if len(self.factors) == 2:
-            prod = mat_mul(self.matrix, other.matrix)
-        else:  # a cyclic group (1x1 matrices) or the trivial one (0x0)
-            prod = tuple((x * y,) for (x,), (y,) in zip(self.matrix, other.matrix))
-        return DiscAction(matrix=prod, factors=self.factors)
-
 
 def induced_action(g: GramLattice, m: Matrix) -> DiscAction:
     """The map induced by the isometry m on the discriminant generators,
@@ -203,21 +185,32 @@ def induced_action(g: GramLattice, m: Matrix) -> DiscAction:
     )
 
 
-def identity_action(factors: tuple[int, ...]) -> DiscAction:
-    return DiscAction(matrix=identity(len(factors)), factors=factors)
-
-
 def action_order(a: DiscAction) -> Optional[int]:
-    """Least n >= 1 with a^n = id, by iterate-and-compare; None when n
-    would exceed the group order."""
-    if not a.factors:
-        return 1
-    cap = 1
-    for d in a.factors:
-        cap *= d
-    current = a
-    for n in range(1, cap + 1):
-        if current.is_identity():
+    """Least n >= 1 with a^n = id; None when n would exceed the group
+    order.
+
+    a^n is iterated on four residues: a cyclic or trivial group is
+    padded with a leading Z/1, and row i of a and of each power is kept
+    reduced mod factors[i], with factors = (d1, d2), d1 | d2. For an
+    action induced by an isometry the (1, 0) entry of a and of every
+    power is a multiple of d2/d1, so reducing both factors of a product
+    leaves its reduced rows unchanged.
+    """
+    if len(a.factors) == 2:
+        (d1, d2), ((a00, a01), (a10, a11)) = a.factors, a.matrix
+    else:
+        d1, a00, a01, a10 = 1, 0, 0, 0
+        (d2,), ((a11,),) = a.factors or (1,), a.matrix or ((0,),)
+    a00, a01, a10, a11 = a00 % d1, a01 % d1, a10 % d2, a11 % d2
+    one1, one2 = 1 % d1, 1 % d2
+    c00, c01, c10, c11 = a00, a01, a10, a11
+    for n in range(1, d1 * d2 + 1):
+        if c00 == one1 and c01 == 0 and c10 == 0 and c11 == one2:
             return n
-        current = current.compose(a)
+        c00, c01, c10, c11 = (
+            (c00 * a00 + c01 * a10) % d1,
+            (c00 * a01 + c01 * a11) % d1,
+            (c10 * a00 + c11 * a10) % d2,
+            (c10 * a01 + c11 * a11) % d2,
+        )
     return None

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .lattice import GramLattice, determinant, inner, norm
@@ -108,7 +107,10 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 
 def _half(n: int) -> int | Fraction:
     """n / 2 exactly; a Fraction only when n is odd."""
-    return n // 2 if n % 2 == 0 else Fraction(n, 2)
+    if n % 2:
+        from fractions import Fraction  # off the import path of every command
+        return Fraction(n, 2)
+    return n // 2
 
 
 def char_poly_rank2(m: Matrix) -> CharData:

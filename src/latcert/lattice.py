@@ -104,10 +104,12 @@ def is_primitive(v: Vector) -> bool:
 
 
 def multiple_of(c: Vector, h: Vector) -> Optional[int]:
-    """The integer m with c = m*h, or None."""
-    for m_cand in set(
-        ci // hi for ci, hi in zip(c, h) if hi != 0 and ci % hi == 0
-    ):
-        if all(ci == m_cand * hi for ci, hi in zip(c, h)):
-            return m_cand
-    return None
+    """The integer m with c = m*h, or None. c is a rational multiple of
+    a nonzero h exactly when the cross product c0*h1 - c1*h0 vanishes;
+    m is then c_i / h_i on a nonzero coordinate of h, if that division
+    is exact."""
+    (c0, c1), (h0, h1) = c, h
+    if c0 * h1 != c1 * h0 or not (h0 or h1):
+        return None
+    m, r = divmod(c0, h0) if h0 else divmod(c1, h1)
+    return None if r else m

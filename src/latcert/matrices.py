@@ -4,18 +4,12 @@ formulas and raise ValueError on any other shape."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
 def from_rows(rows) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -48,6 +42,8 @@ def adjugate(m: Matrix) -> Matrix:
 
 
 def rational_inverse(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+    from fractions import Fraction  # off the import path of every command
+
     d = det(m)
     if d == 0:
         raise ValueError("matrix is singular")

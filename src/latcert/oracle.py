@@ -28,11 +28,14 @@ DEFAULT_BOX_RADIUS = 50
 MAX_BOX_RADIUS = 200
 
 
-def brute_values(g: GramLattice, radius: int) -> dict[int, Vector]:
+def brute_values(
+    g: GramLattice, radius: int, targets: Optional[tuple[int, ...]] = None
+) -> dict[int, Vector]:
     """All norms attained on the box [-radius, radius]^2, with one
     witness each; the zero vector is excluded so the t = 0 entry means a
     nontrivial zero. The witness of a norm is the first vector that
-    attains it in lexicographic order.
+    attains it in lexicographic order. With targets given, only those
+    norms are kept, and the scan stops once each has its witness.
 
     The scan evaluates a*x^2 + 2b*x*y + c*y^2 directly, with the
     x-terms taken out of the inner loop: O(radius^2) time."""
@@ -40,14 +43,17 @@ def brute_values(g: GramLattice, radius: int) -> dict[int, Vector]:
         raise ValueError("radius must be >= 1")
     (a, b), (_, c) = g.entries
     box = range(-radius, radius + 1)
+    keep = None if targets is None else set(targets)
     out: dict[int, Vector] = {}
     for x in box:
         ax2 = a * x * x
         bx2 = 2 * b * x
         for y in box:
             t = ax2 + y * (bx2 + c * y)
-            if t not in out and (x or y):
+            if t not in out and (x or y) and (keep is None or t in keep):
                 out[t] = (x, y)
+                if keep is not None and len(out) == len(keep):
+                    return out
     return out
 
 

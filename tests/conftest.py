@@ -3,8 +3,9 @@ import pathlib
 import pytest
 from hypothesis import strategies as st
 
+from latcert.discgroup import DiscAction
 from latcert.lattice import GramLattice
-from latcert.matrices import adjugate, det, from_rows, identity, mat_mul
+from latcert.matrices import adjugate, det, from_rows, mat_mul
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -80,6 +81,10 @@ ELEMENTARY_OPS = st.lists(
 )
 
 
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def mat_pow(m, k):
     """m^k for a 2x2 integer matrix and k >= 0, by repeated squaring."""
     if k < 0:
@@ -100,6 +105,25 @@ def unimodular_inverse(m):
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det {d})")
     return tuple(tuple(x * d for x in row) for row in adjugate(m))
+
+
+def identity_action(factors):
+    return DiscAction(matrix=identity(len(factors)), factors=factors)
+
+
+def is_identity(action):
+    return action == identity_action(action.factors)
+
+
+def compose(a, b):
+    """The action a*b, its matrix product taken unreduced."""
+    if a.factors != b.factors:
+        raise ValueError("actions on different groups")
+    if len(a.factors) == 2:
+        prod = mat_mul(a.matrix, b.matrix)
+    else:  # a cyclic group (1x1 matrices) or the trivial one (0x0)
+        prod = tuple((x * y,) for (x,), (y,) in zip(a.matrix, b.matrix))
+    return DiscAction(matrix=prod, factors=a.factors)
 
 
 def random_unimodular(rank, ops):

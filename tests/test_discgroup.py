@@ -5,14 +5,20 @@ from hypothesis import strategies as st
 from latcert.discgroup import (
     action_order,
     discriminant_group,
-    identity_action,
     induced_action,
     smith_normal_form,
 )
 from latcert.lattice import GramLattice
-from latcert.matrices import det, from_rows, identity, mat_mul
+from latcert.matrices import det, from_rows, mat_mul
 
-from .conftest import nondegenerate_lattices, unimodular_inverse
+from .conftest import (
+    compose,
+    identity,
+    identity_action,
+    is_identity,
+    nondegenerate_lattices,
+    unimodular_inverse,
+)
 
 
 def int_matrices(lo=-50, hi=50):
@@ -96,7 +102,7 @@ class TestDiscriminantGroup:
 class TestInducedAction:
     def test_identity(self, paper_lattice):
         action = induced_action(paper_lattice, identity(2))
-        assert action.is_identity()
+        assert is_identity(action)
 
     def test_negation_has_order_at_most_two(self, paper_lattice):
         action = induced_action(paper_lattice, ((-1, 0), (0, -1)))
@@ -105,7 +111,7 @@ class TestInducedAction:
     def test_negation_on_two_torsion_is_identity(self):
         g = GramLattice.from_rows([[2, 0], [0, -2]])
         action = induced_action(g, ((-1, 0), (0, -1)))
-        assert action.is_identity()
+        assert is_identity(action)
         assert action_order(action) == 1
 
     def test_rejects_non_isometry(self, paper_lattice):
@@ -123,8 +129,8 @@ class TestInducedAction:
         swap = ((0, 1), (1, 0))
         for a, b in [(sigma, sigma), (sigma, swap), (swap, unimodular_inverse(sigma))]:
             composed = induced_action(paper_lattice, mat_mul(a, b))
-            assert composed == induced_action(paper_lattice, a).compose(
-                induced_action(paper_lattice, b)
+            assert composed == compose(
+                induced_action(paper_lattice, a), induced_action(paper_lattice, b)
             )
 
 

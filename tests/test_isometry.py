@@ -15,9 +15,9 @@ from latcert.isometry import (
     preserves_positive_cone,
 )
 from latcert.lattice import GramLattice, inner, norm
-from latcert.matrices import identity, mat_mul, mat_vec
+from latcert.matrices import mat_mul, mat_vec
 
-from .conftest import mat_pow, small_vectors, unimodular_inverse
+from .conftest import identity, mat_pow, small_vectors, unimodular_inverse
 
 NEG_I = ((-1, 0), (0, -1))
 SWAP = ((0, 1), (1, 0))

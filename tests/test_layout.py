@@ -61,8 +61,10 @@ def test_traced_functions_exist():
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # dataclasses pulls in inspect, ast, dis and tokenize; none is used at
-    # run time, and every `latcert` process would pay to import them.
+    # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
+    # pulls in decimal and numbers; only `disc` and an odd-trace dominant
+    # root need a Fraction, and every `latcert` process would pay to
+    # import them.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [
@@ -80,6 +82,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
     loaded = set(proc.stdout.split())
     assert "latcert.cli" in loaded
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    heavy |= {"fractions", "decimal", "numbers"}
     assert not heavy & loaded
 
 

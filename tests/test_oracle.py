@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +15,6 @@ from latcert.quadform import (
     content,
     to_binary_form,
 )
-from latcert.matrices import identity
 from latcert.oracle import (
     brute_action_order,
     brute_low_degree,
@@ -20,7 +23,9 @@ from latcert.oracle import (
     required_box_radius,
 )
 
-from .conftest import mat_pow
+from .conftest import identity, mat_pow
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestBruteValues:
@@ -42,6 +47,37 @@ class TestBruteValues:
         # no rank-3 lattice reaches the scan: GramLattice refuses it
         with pytest.raises(ValueError, match="rank 3"):
             GramLattice.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+
+
+    def test_targets_lower_peak_memory(self):
+        # At radius 200 this Gram attains 80,201 distinct norms, 0 among
+        # them and -2 not; the full scan keeps a witness for each (about
+        # 11 MB), the targeted one only for 0.
+        scan = (
+            "import sys\n"
+            "from latcert.lattice import GramLattice\n"
+            "from latcert.oracle import brute_values\n"
+            "g = GramLattice(((2000000000, 1), (1, -2000000002)))\n"
+            "brute_values(g, 200, (0, -2) if sys.argv[1] == 'targets' else None)\n"
+        )
+        # A child starts with its parent's peak RSS (ru_maxrss survives
+        # fork and exec), so the scan runs in the child of a small launcher.
+        launcher = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-c', sys.argv[1], sys.argv[2]], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+
+        def peak_kb(mode):
+            proc = subprocess.run(
+                [sys.executable, "-c", launcher, scan, mode],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout)
+
+        assert peak_kb("targets") + 5000 < peak_kb("full")
 
 
 class TestBruteLowDegree:
@@ -135,6 +171,17 @@ class TestScansAgainstReference:
             got = brute_values(g, radius)
             # same norms, same first witness, same insertion order
             assert list(got.items()) == list(reference_values(g, radius).items())
+
+    def test_values_with_targets_match_full_scan(self):
+        rng = random.Random(5)
+        for g in random_grams(5, 60):
+            radius = rng.randint(1, 9)
+            full = brute_values(g, radius)
+            targets = tuple(rng.randint(-40, 40) for _ in range(rng.randint(1, 4)))
+            got = brute_values(g, radius, targets)
+            assert list(got.items()) == [
+                (t, v) for t, v in full.items() if t in targets
+            ]
 
     def test_low_degree_list_order_and_multiples(self):
         rng = random.Random(4)

@@ -1,21 +1,30 @@
-"""The closed-form 2x2 kernels against the generic n x n code they
-replaced, kept here as references: recursive-minor det and adjugate, the
-closure-based n x m Smith normal form, and the Fraction-based induced
-action. Results must be identical, U, D and V of the SNF included, so
-`disc` prints the same generators."""
+"""The closed-form 2x2 kernels against the generic code they replaced,
+kept here as references: recursive-minor det and adjugate, the
+closure-based n x m Smith normal form, the Fraction-based induced
+action, the compose-and-compare action order, the per-degree S4
+enumeration and the set-based multiple test. Results must be identical,
+U, D and V of the SNF included, so `disc` prints the same generators."""
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from latcert import quadform
-from latcert.discgroup import induced_action, smith_normal_form
-from latcert.lattice import GramLattice
+from latcert.certificate import _degree_window, enumerate_low_degree
+from latcert.discgroup import (
+    DiscAction,
+    action_order,
+    induced_action,
+    smith_normal_form,
+)
+from latcert.lattice import GramLattice, LowDegreeClass, inner, multiple_of, norm
 from latcert.matrices import adjugate, det, mat_mul, mat_vec
 
-from .conftest import mat_pow
+from .conftest import compose, is_identity, mat_pow
 
 ALL_SMALL = [
     ((a, b), (c, d)) for a, b, c, d in itertools.product(range(-6, 7), repeat=4)
@@ -213,6 +222,7 @@ def test_kernels_match_reference_on_seeded_large_matrices(size):
         assert tuple(smith_normal_form(m)) == ref_smith_normal_form(m), m
 
 
+@functools.cache
 def small_isometries():
     """(gram, isometry) pairs: each even indefinite [[2a,b],[b,2c]] with
     |a|, |c| <= 6, 0 <= b <= 8 and a short automorph, with the generator,
@@ -262,3 +272,123 @@ def test_induced_action_matches_reference_on_large_lattices(size):
         m = mat_mul(p_inv, mat_mul(mat_pow(sigma, k), p))
         action = induced_action(GramLattice(g), m)
         assert (action.matrix, action.factors) == ref_induced_action(g, m)
+
+
+def ref_action_order(a):
+    """Least n <= |A| with a^n = id, composing unreduced matrices."""
+    if not a.factors:
+        return 1
+    current = a
+    for n in range(1, math.prod(a.factors) + 1):
+        if is_identity(current):
+            return n
+        current = compose(current, a)
+    return None
+
+
+def ref_multiple_of(c, h):
+    for m_cand in set(
+        ci // hi for ci, hi in zip(c, h) if hi != 0 and ci % hi == 0
+    ):
+        if all(ci == m_cand * hi for ci, hi in zip(c, h)):
+            return m_cand
+    return None
+
+
+def ref_enumerate_low_degree(g, h, bound):
+    """One base point and parabola per degree d, squares from norm."""
+    w = mat_vec(g.entries, h)
+    gcd_w = math.gcd(*w)
+    direction = (w[1] // gcd_w, -w[0] // gcd_w)
+    a_coef = norm(g, direction)
+    _, x0, y0 = quadform._extended_gcd(w[0], w[1])
+    out = []
+    for d in range(1, bound):
+        if d % gcd_w != 0:
+            continue
+        scale = d // gcd_w
+        base = (x0 * scale, y0 * scale)
+        b_coef = 2 * inner(g, base, direction)
+        c_coef = norm(g, base)
+        disc = b_coef * b_coef - 4 * a_coef * c_coef
+        if disc <= 0:
+            continue
+        k_lo, k_hi = _degree_window(a_coef, b_coef, disc)
+        for k in range(k_lo, k_hi + 1):
+            if a_coef * k * k + b_coef * k + c_coef <= 0:
+                continue
+            c = (base[0] + k * direction[0], base[1] + k * direction[1])
+            out.append(LowDegreeClass(c, d, norm(g, c), ref_multiple_of(c, h)))
+    out.sort(key=lambda cls: (cls.degree, cls.coords))
+    return out
+
+
+def test_action_order_matches_reference_on_small_lattices():
+    for gram, m in small_isometries():
+        action = induced_action(GramLattice(gram), m)
+        assert action_order(action) == ref_action_order(action), (gram, m)
+
+
+@pytest.mark.parametrize("size", [10, 10**5, 10**10])
+def test_action_order_matches_reference_on_large_lattices(size):
+    rng = random.Random(size)
+    gram, sigma = ((4, 20), (20, 4)), ((10, 1), (-1, 0))
+    for k in range(1, 41):
+        p = random_shears(rng, size)
+        (p0, p1), (p2, p3) = p
+        g = mat_mul(ref_transpose(p), mat_mul(gram, p))
+        m = mat_mul(((p3, -p1), (-p2, p0)), mat_mul(mat_pow(sigma, k), p))
+        action = induced_action(GramLattice(g), m)
+        assert action_order(action) == ref_action_order(action) == 4 // math.gcd(k, 4)
+
+
+def test_action_order_matches_reference_on_cyclic_and_trivial_groups():
+    assert action_order(DiscAction((), ())) == ref_action_order(DiscAction((), ())) == 1
+    for d in range(1, 50):
+        for x in range(-2 * d, 3 * d):
+            action = DiscAction(((x,),), (d,))
+            assert action_order(action) == ref_action_order(action), (x, d)
+
+
+def test_multiple_of_matches_reference_on_every_small_pair():
+    box = range(-6, 7)
+    for c0, c1, h0, h1 in itertools.product(box, repeat=4):
+        c, h = (c0, c1), (h0, h1)
+        assert multiple_of(c, h) == ref_multiple_of(c, h), (c, h)
+
+
+def test_enumerate_low_degree_matches_reference_on_paper_gram():
+    # The reference treats each degree on its own, so its list for a
+    # bound is its list for 512 cut below that bound.
+    g = GramLattice(((4, 20), (20, 4)))
+    full = ref_enumerate_low_degree(g, (1, 0), 512)
+    for bound in range(1, 513):
+        expected = [c for c in full if c.degree < bound]
+        assert enumerate_low_degree(g, (1, 0), bound) == expected, bound
+
+
+def test_enumerate_low_degree_matches_reference_on_seeded_grams():
+    # h non-primitive, with a negative or a zero coordinate, and of
+    # positive norm, as the degree window requires.
+    rng = random.Random(20111020)
+    kinds = {"non-primitive": 0, "negative": 0, "zero": 0}
+    while min(kinds.values()) < 40:
+        a, b, c = rng.randint(-20, 20), rng.randint(-30, 30), rng.randint(-20, 20)
+        if 4 * a * c - b * b >= 0:
+            continue
+        g = GramLattice(((2 * a, b), (b, 2 * c)))
+        kind = rng.choice(sorted(kinds))
+        h = (rng.randint(-4, 4), rng.randint(-4, 4))
+        if kind == "non-primitive":
+            h = tuple(rng.randint(2, 4) * x for x in h)
+        elif kind == "zero":
+            h = rng.choice([(h[0], 0), (0, h[1])])
+        elif min(h) >= 0:
+            continue
+        if h == (0, 0) or norm(g, h) <= 0:
+            continue
+        kinds[kind] += 1
+        bound = rng.randint(1, 200)
+        assert enumerate_low_degree(g, h, bound) == ref_enumerate_low_degree(
+            g, h, bound
+        ), (g, h, bound)
