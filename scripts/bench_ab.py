@@ -11,6 +11,13 @@ file holds the runs and, per workload and end-to-end metric of
 CHANGE_DIR's BENCHMARK.json, each side's quartiles
 (statistics.quantiles, n=4) and the number of pairs the change won,
 ties counting for neither side. Standard library only.
+
+With --claim WORKLOAD:METRIC (repeatable) the output file also gets a
+`verdicts` block. A claim is met only when the change wins at least
+nine tenths of the pairs and its median beats the parent's by more than
+the parent's interquartile range. `regressed` lists every end-to-end
+metric whose change median is worse than the parent's by more than the
+metric's relative bound in BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -42,28 +49,69 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q1, 4), round(med, 4), round(q3, 4)]
 
 
+def workloads(runs: list[dict]) -> list[str]:
+    return list(dict.fromkeys(r["workload"] for r in runs))
+
+
+def paired(runs: list[dict], workload: str, metric: dict) -> tuple[list, list, int]:
+    """The parent's and the change's values of one metric, seed by seed,
+    and the number of pairs the change won (ties count for neither)."""
+    mine = [r for r in runs if r["workload"] == workload]
+    seeds = list(dict.fromkeys(r["seed"] for r in mine))
+    value = {(r["seed"], r["side"]): r["last_line"]["metrics"] for r in mine}
+    name, lower = metric["name"], metric["better"] == "lower"
+    parent = [value[s, "parent"][name]["value"] for s in seeds]
+    change = [value[s, "change"][name]["value"] for s in seeds]
+    won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    return parent, change, won
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: the seeds, and per metric each side's quartiles
     and the pairs the change won."""
     out = {}
-    for workload in dict.fromkeys(r["workload"] for r in runs):
-        mine = [r for r in runs if r["workload"] == workload]
-        seeds = list(dict.fromkeys(r["seed"] for r in mine))
-        value = {
-            (r["seed"], r["side"]): r["last_line"]["metrics"] for r in mine
-        }
+    for workload in workloads(runs):
+        seeds = list(dict.fromkeys(r["seed"] for r in runs if r["workload"] == workload))
         table = {}
         for metric in metrics:
-            name, lower = metric["name"], metric["better"] == "lower"
-            parent = [value[s, "parent"][name]["value"] for s in seeds]
-            change = [value[s, "change"][name]["value"] for s in seeds]
-            won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-            table[name] = {
+            parent, change, won = paired(runs, workload, metric)
+            table[metric["name"]] = {
                 "parent_q1_median_q3": quartiles(parent),
                 "change_q1_median_q3": quartiles(change),
                 "change_better_pairs": f"{won}/{len(seeds)}",
             }
         out[workload] = {"seeds": seeds, "metrics": table}
+    return out
+
+
+def verdicts(runs: list[dict], metrics: list[dict], claims: list[str]) -> dict:
+    """Each claim WORKLOAD:METRIC met or not, and the end-to-end metrics
+    that regressed beyond their bound, on any workload run."""
+    by_name = {m["name"]: m for m in metrics}
+    out = {"claims": {}, "regressed": []}
+    for claim in claims:
+        workload, name = claim.split(":", 1)
+        parent, change, won = paired(runs, workload, by_name[name])
+        q1, p_med, q3 = statistics.quantiles(parent, n=4)
+        c_med = statistics.median(change)
+        gap = p_med - c_med if by_name[name]["better"] == "lower" else c_med - p_med
+        out["claims"][claim] = {
+            "met": 10 * won >= 9 * len(parent) and gap > q3 - q1,
+            "change_better_pairs": f"{won}/{len(parent)}",
+            "median_gain": round(gap, 4),
+            "parent_iqr": round(q3 - q1, 4),
+        }
+    for workload in workloads(runs):
+        for metric in metrics:
+            parent, change, _ = paired(runs, workload, metric)
+            p_med, c_med = statistics.median(parent), statistics.median(change)
+            worse = c_med - p_med if metric["better"] == "lower" else p_med - c_med
+            if worse > metric["bound"] * abs(p_med):
+                out["regressed"].append({
+                    "workload": workload, "metric": metric["name"],
+                    "parent_median": round(p_med, 4), "change_median": round(c_med, 4),
+                    "bound": metric["bound"],
+                })
     return out
 
 
@@ -79,10 +127,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--out", type=pathlib.Path, required=True)
     parser.add_argument("--description", default="")
+    parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
+                        help="a claimed gain to judge after the runs; repeatable")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs a side)")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    names = {m["name"] for m in bench["end_to_end"]}
+    for claim in args.claim:
+        workload, _, name = claim.partition(":")
+        if workload not in args.workload or name not in names:
+            parser.error(f"--claim {claim}: want a --workload of this run and an "
+                         "end-to-end metric of BENCHMARK.json")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
     seed = args.first_seed
@@ -106,8 +162,10 @@ def main(argv=None) -> int:
                    + "".join(f"{k}={os.environ[k]}, " for k in ENV_NOTED if k in os.environ)
                    + "runs one at a time",
         "summary": summarize(runs, bench["end_to_end"]),
-        "runs": runs,
     }
+    if args.claim:
+        doc["verdicts"] = verdicts(runs, bench["end_to_end"], args.claim)
+    doc["runs"] = runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

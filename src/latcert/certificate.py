@@ -23,12 +23,7 @@ from typing import NamedTuple, Optional
 
 from . import quadform
 from .discgroup import action_order, induced_action, smith_normal_form
-from .isometry import (
-    char_poly_rank2,
-    is_isometry,
-    order,
-    preserves_positive_cone,
-)
+from .isometry import char_poly_rank2, order, preserves_positive_cone
 from .lattice import (
     GramLattice,
     LowDegreeClass,
@@ -78,7 +73,7 @@ class CertificateInput(_InputFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if all(x == 0 for x in self.polarization):
+        if not any(self.polarization):
             raise ValueError("polarization must be nonzero")
         if self.degree_bound < 1:
             raise ValueError("degree_bound must be >= 1")
@@ -96,9 +91,9 @@ class _StepFields(NamedTuple):
 class StepResult(_StepFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.details is not None else self._replace(details={})
+    def __new__(cls, id, status, citation, witness=None, details=None):
+        details = {} if details is None else details
+        return super().__new__(cls, id, status, citation, witness, details)
 
 
 class CertificateReport(NamedTuple):
@@ -178,14 +173,13 @@ def check_S3_polarization(g: GramLattice, h: Vector) -> StepResult:
         "very ampleness via Saint-Donat Thm 6.1 (cited)"
     )
     h_norm, negated = normalize_polarization(h)
-    details = {"normalized": negated, "norm": norm(g, h_norm)}
+    h_sq = norm(g, h_norm)
+    details = {"normalized": negated, "norm": h_sq}
     problems = []
     if not is_primitive(h_norm):
         problems.append(f"polarization {h_norm} is not primitive")
-    if norm(g, h_norm) != POLARIZATION_NORM:
-        problems.append(
-            f"norm is {norm(g, h_norm)}, expected {POLARIZATION_NORM}"
-        )
+    if h_sq != POLARIZATION_NORM:
+        problems.append(f"norm is {h_sq}, expected {POLARIZATION_NORM}")
     if problems:
         return StepResult(
             "S3", "fail", citation, witness="; ".join(problems), details=details
@@ -313,7 +307,7 @@ def check_S5_isometry(
         "sigma^n = id on the discriminant group; realization via "
         "Nikulin Prop. 1.6.1 and global Torelli (cited)"
     )
-    h_norm, _ = normalize_polarization(h)
+    h, _ = normalize_polarization(h)
     if m is None:
         m = _automorph(g)
         if m is None:
@@ -324,30 +318,25 @@ def check_S5_isometry(
                 witness="no automorph generator: the discriminant is not "
                 "a positive nonsquare",
             )
-    return _validate_isometry(g, h_norm, m, citation)
-
-
-def _validate_isometry(
-    g: GramLattice, h: Vector, m: Matrix, citation: str
-) -> StepResult:
-    if not is_isometry(g, m):
+    try:
+        action = induced_action(g, m)  # the one check of M^T * G * M = G
+    except ValueError:
         return StepResult(
             "S5", "fail", citation, witness="matrix is not an isometry"
         )
-    details = {}
     char = char_poly_rank2(m)
-    details["char_poly"] = {"trace": char.trace, "det": char.det}
-    details["dominant_root"] = (
-        str(char.dominant_root) if char.dominant_root else None
-    )
-    if g.entries == PUBLISHED_GRAM and char.dominant_root is not None:
-        computed = str(char.dominant_root)
-        if computed != PUBLISHED_EIGENVALUE_CLAIM:
-            details["eigenvalue_discrepancy"] = (
-                f"published claim {PUBLISHED_EIGENVALUE_CLAIM} does not "
-                f"match the computed dominant root {computed} of the "
-                "supplied isometry; infinite-order conclusion unaffected"
-            )
+    root = str(char.dominant_root) if char.dominant_root else None
+    details = {
+        "char_poly": {"trace": char.trace, "det": char.det},
+        "dominant_root": root,
+    }
+    claimed = PUBLISHED_EIGENVALUE_CLAIM
+    if g.entries == PUBLISHED_GRAM and root not in (None, claimed):
+        details["eigenvalue_discrepancy"] = (
+            f"published claim {claimed} does not "
+            f"match the computed dominant root {root} of the "
+            "supplied isometry; infinite-order conclusion unaffected"
+        )
     problems = []
     if not preserves_positive_cone(g, m, h):
         problems.append("isometry does not preserve the positive cone")
@@ -362,7 +351,6 @@ def _validate_isometry(
         return StepResult(
             "S5", "fail", citation, witness="; ".join(problems), details=details
         )
-    action = induced_action(g, m)
     n = action_order(action)
     if n is None:
         details["disc_action_order"] = None
@@ -377,39 +365,24 @@ def run_certificate(inp: CertificateInput) -> CertificateReport:
     not pass blocks the rest, which are reported as skipped."""
     # Step functions are looked up at call time, so rebinding a module
     # attribute (as a tracer does) takes effect.
-    checks = (
-        ("S1", lambda: check_S1_lattice(inp.gram)),
-        ("S2", lambda: check_S2_no_0_minus2(inp.gram, inp.search_bound)),
-        ("S3", lambda: check_S3_polarization(inp.gram, inp.polarization)),
-        (
-            "S4",
-            lambda: check_S4_low_degree(
-                inp.gram, inp.polarization, inp.degree_bound
-            ),
-        ),
-        (
-            "S5",
-            lambda: check_S5_isometry(
-                inp.gram, inp.polarization, inp.isometry
-            ),
-        ),
-    )
+    g, h = inp.gram, inp.polarization
     steps: list[StepResult] = []
     timing = {}
-    for step_id, check in checks:
-        if steps and steps[-1].status != "pass":
-            steps.append(StepResult(step_id, "skipped", citation=""))
+    verdict = "pass"
+    for step_id, check, args in (
+        ("S1", check_S1_lattice, (g,)),
+        ("S2", check_S2_no_0_minus2, (g, inp.search_bound)),
+        ("S3", check_S3_polarization, (g, h)),
+        ("S4", check_S4_low_degree, (g, h, inp.degree_bound)),
+        ("S5", check_S5_isometry, (g, h, inp.isometry)),
+    ):
+        if verdict != "pass":
+            steps.append(StepResult(step_id, "skipped", "", None, {}))
             continue
         start = time.perf_counter()
-        steps.append(check())
+        steps.append(check(*args))
         timing[step_id] = round((time.perf_counter() - start) * 1000, 3)
-    statuses = {s.status for s in steps}
-    if statuses == {"pass"}:
-        verdict = "pass"
-    elif "fail" in statuses:
-        verdict = "fail"
-    else:
-        verdict = "unknown"
+        verdict = steps[-1].status
     return CertificateReport(
         steps=tuple(steps), verdict=verdict, notes=CITED_STEPS, timing=timing
     )

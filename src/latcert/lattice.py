@@ -45,11 +45,12 @@ class GramLattice(_GramEntries):
         n = len(self.entries)
         if n != 2:
             raise ValueError(f"gram matrix must be 2x2 (rank 2), got rank {n}")
-        if any(len(row) != 2 for row in self.entries):
+        if len(self.entries[0]) != 2 or len(self.entries[1]) != 2:
             raise ValueError("gram matrix must be square")
-        if self.entries[0][1] != self.entries[1][0]:
+        (a, b), (c, d) = self.entries
+        if b != c:
             raise ValueError("gram matrix not symmetric at (1,0)")
-        if det(self.entries) == 0:
+        if a * d - b * c == 0:
             raise DegenerateLatticeError("gram matrix is degenerate")
         return self
 
@@ -93,7 +94,8 @@ def signature(g: GramLattice) -> Signature:
 
 def is_even(g: GramLattice) -> bool:
     """True iff every diagonal entry is even (hence every norm is even)."""
-    return all(g.entries[i][i] % 2 == 0 for i in range(g.rank))
+    (a, _), (_, d) = g.entries
+    return a % 2 == 0 and d % 2 == 0
 
 
 def is_primitive(v: Vector) -> bool:

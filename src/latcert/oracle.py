@@ -21,10 +21,8 @@ from .matrices import (
 )
 
 DEFAULT_BOX_RADIUS = 50
-# Largest box radius an input document may ask for. At this radius the
-# rank-2 value scan visits 161,201 points and keeps at most 80,401 values
-# (v and -v share one); it took 45-90 ms and about 25 MB on a 2-vCPU Xeon
-# VM with CPython 3.11, and a whole `check --verify` process 0.2-0.3 s.
+# Largest box radius a document or a low-degree scan may use; a full 2-D
+# scan of that box visits 161,201 points.
 MAX_BOX_RADIUS = 200
 
 
@@ -34,27 +32,46 @@ def brute_values(
     """All norms attained on the box [-radius, radius]^2, with one
     witness each; the zero vector is excluded so the t = 0 entry means a
     nontrivial zero. The witness of a norm is the first vector that
-    attains it in lexicographic order. With targets given, only those
-    norms are kept, and the scan stops once each has its witness.
+    attains it in lexicographic order, so it lies in a row x <= 0.
 
-    The scan evaluates a*x^2 + 2b*x*y + c*y^2 directly, with the
-    x-terms taken out of the inner loop: O(radius^2) time."""
+    Without targets the scan evaluates a*x^2 + 2b*x*y + c*y^2 on every
+    point, O(radius^2). With targets only those norms are kept, each
+    found by solving the rows -radius..0 for y: O(radius) per target."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     (a, b), (_, c) = g.entries
-    box = range(-radius, radius + 1)
-    keep = None if targets is None else set(targets)
     out: dict[int, Vector] = {}
+    if targets is not None:
+        for t in set(targets):
+            for x in range(-radius, 1):
+                y = _first_y(a, b, c, x, t, radius)
+                if y is not None:
+                    out[t] = (x, y)
+                    break
+        return dict(sorted(out.items(), key=lambda item: item[1]))  # scan order
+    box = range(-radius, radius + 1)
     for x in box:
         ax2 = a * x * x
         bx2 = 2 * b * x
         for y in box:
             t = ax2 + y * (bx2 + c * y)
-            if t not in out and (x or y) and (keep is None or t in keep):
+            if t not in out and (x or y):
                 out[t] = (x, y)
-                if keep is not None and len(out) == len(keep):
-                    return out
     return out
+
+
+def _first_y(a: int, b: int, c: int, x: int, t: int, radius: int) -> Optional[int]:
+    """The least y in [-radius, radius] with norm t at (x, y) != 0, or None."""
+    rest = a * x * x - t  # c*y^2 + 2b*x*y + rest = 0
+    if c:  # y = (-b*x +- s) / c with s^2 = (b*x)^2 - c*rest
+        e = b * b * x * x - c * rest
+        s = math.isqrt(max(e, 0))
+        ys = [n // c for n in (-b * x - s, -b * x + s) if s * s == e and n % c == 0]
+    elif b * x:
+        ys = [-rest // (2 * b * x)] if rest % (2 * b * x) == 0 else []
+    else:
+        ys = [-radius] if rest == 0 else []  # every y solves
+    return min((y for y in ys if -radius <= y <= radius and (x or y)), default=None)
 
 
 def _ceil_sqrt_ratio(num: int, den: int) -> int:

@@ -135,15 +135,20 @@ def _congruence_blocks(f: BinaryForm, t: int) -> bool:
     (mod k); y needs only 0..k/2, as f(-x, -y) = f(x, y). The modulus 8
     is left out: 8 divides 16, so f(x, y) = t (mod 16) gives
     f(x, y) = t (mod 8), and whenever 8 rules t out, so does 16."""
-    a, b, c = f
-    return any(
-        all(
-            (a * x * x + b * x * y + c * y * y - t) % k
-            for x in range(k)
-            for y in range(k // 2 + 1)
-        )
-        for k in DEFAULT_MODULI
+    return not all(
+        _attains_mod(f.a % k, f.b % k, f.c % k, t % k, k) for k in DEFAULT_MODULI
     )
+
+
+def _attains_mod(a: int, b: int, c: int, t: int, k: int) -> bool:
+    """Whether a*x^2 + b*x*y + c*y^2 = t (mod k) for some x, 0 <= y <= k/2."""
+    ys = range(k // 2 + 1)
+    for x in range(k):
+        rest, bx = a * x * x - t, b * x
+        for y in ys:
+            if not (rest + y * (bx + c * y)) % k:
+                return True
+    return False
 
 
 def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
@@ -242,16 +247,19 @@ def _unimodular_to_leading_one(
     """Find the first (r, s) in a small box, r ascending, then s, with
     f(r, s) = +-1; return an equivalent form with leading coefficient
     f(r, s) and the change of variables (a column-action matrix).
-    Each row costs two root solves in s: O(box), not O(box^2) (c != 0,
-    as the caller passes only nonsquare discriminants). A row r > 0
-    holds only mirrors (-r, -s) of hits in row -r; gcd(r, s)^2 divides
+    Each row costs two square tests of D*r^2 + 4*c*target, and root
+    solves in s only on a hit: O(box), not O(box^2) (c != 0, as the
+    caller passes only nonsquare discriminants). A row r > 0 holds only
+    mirrors (-r, -s) of hits in row -r; gcd(r, s)^2 divides
     f(r, s) = +-1, so every hit is primitive.
     """
     a, b, c = f
+    disc = f.discriminant
     for r in range(-box, 1):
         hits = [
             s
             for target in (1, -1)
+            if _is_square(disc * r * r + 4 * c * target)
             for s in _int_roots(c, b * r, a * r * r - target)
             if -box <= s <= box
         ]
@@ -344,10 +352,13 @@ def _decide_primitive(
         return r
     # fall back to a direct witness scan before answering "unknown": the
     # first (x, y) in the box with f0(x, y) = t0, x ascending, then y, by
-    # one root solve per row (c != 0, as the discriminant is not a
-    # square); a row x > 0 holds only mirrors of hits in row -x
+    # one root solve per row whose discriminant D*x^2 + 4*c*t0 is a square
+    # (c != 0, as D is not); a row x > 0 holds only mirrors of row -x
     box = min(50, search_bound)
+    disc, ct = f0.discriminant, 4 * f0.c * t0
     for x in range(-box, 1):
+        if not _is_square(disc * x * x + ct):
+            continue
         for y in _int_roots(f0.c, f0.b * x, f0.a * x * x - t0):
             if -box <= y <= box:
                 return Representation(status="yes", witness=(x, y))

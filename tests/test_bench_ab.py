@@ -1,0 +1,78 @@
+"""The verdict rule of scripts/bench_ab.py on synthetic runs: a claim is
+met only with at least nine tenths of the pairs won and a median gain
+larger than the parent's interquartile range; an end-to-end metric is
+listed as regressed when the change's median is worse than the parent's
+by more than its relative bound. No benchmark runs here."""
+
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+METRICS = [
+    {"name": "op_ms.p50", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+]
+
+
+def runs_of(workload, parent, change, ops=None):
+    """One run per side and seed with the given op_ms.p50 values;
+    ops_per_s is 100 on both sides unless given as (parent, change)."""
+    ops = ops or ([100] * len(parent), [100] * len(change))
+    out = []
+    for seed, values in enumerate(zip(parent, change, *ops)):
+        p50_p, p50_c, ops_p, ops_c = values
+        for side, p50, rate in (("parent", p50_p, ops_p), ("change", p50_c, ops_c)):
+            metrics = {"op_ms.p50": {"value": p50}, "ops_per_s": {"value": rate}}
+            out.append({"workload": workload, "seed": seed, "side": side,
+                        "last_line": {"metrics": metrics}})
+    return out
+
+
+def claim(runs):
+    return bench_ab.verdicts(runs, METRICS, ["census:op_ms.p50"])["claims"]["census:op_ms.p50"]
+
+
+def test_claim_met_with_nine_of_ten_and_gap_above_iqr():
+    parent = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    change = [0.80] * 9 + [1.05]
+    verdict = claim(runs_of("census", parent, change))
+    assert verdict["met"] and verdict["change_better_pairs"] == "9/10"
+    assert verdict["median_gain"] > verdict["parent_iqr"]
+
+
+def test_claim_not_met_with_eight_of_ten():
+    parent = [1.0] * 10
+    change = [0.8] * 8 + [1.0, 1.2]
+    verdict = claim(runs_of("census", parent, change))
+    assert verdict["change_better_pairs"] == "8/10"
+    assert not verdict["met"]
+
+
+def test_claim_not_met_when_gap_within_parent_iqr():
+    # the change wins every pair, but by less than the parent's own spread
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8, 1.0, 1.2, 1.4, 1.6, 1.8]
+    change = [p - 0.05 for p in parent]
+    verdict = claim(runs_of("census", parent, change))
+    assert verdict["change_better_pairs"] == "10/10"
+    assert verdict["median_gain"] < verdict["parent_iqr"]
+    assert not verdict["met"]
+
+
+def test_claim_in_the_wrong_direction_is_not_met():
+    verdict = claim(runs_of("census", [1.0] * 10, [2.0] * 10))
+    assert not verdict["met"] and verdict["median_gain"] < 0
+
+
+def test_regressed_lists_metrics_beyond_their_bound_on_each_workload():
+    runs = runs_of("census", [1.0] * 5, [1.2] * 5)  # worse by 20%: within 0.25
+    runs += runs_of("bitsize", [1.0] * 5, [1.3] * 5, ops=([100] * 5, [70] * 5))
+    regressed = bench_ab.verdicts(runs, METRICS, [])["regressed"]
+    assert [(r["workload"], r["metric"]) for r in regressed] == [
+        ("bitsize", "op_ms.p50"),
+        ("bitsize", "ops_per_s"),
+    ]
+

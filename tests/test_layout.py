@@ -1,7 +1,7 @@
 """Structural checks: the oracles stay independent of the pipeline they
-verify, every function the benchmark tracer wraps exists, the CLI's
-import path stays lean, and scripts/reproduce.py keeps its committed
-output."""
+verify, every function the benchmark tracer wraps exists and is loaded
+by `import latcert.cli`, the CLI's import path stays lean, and
+scripts/reproduce.py keeps its committed output."""
 
 import ast
 import importlib
@@ -42,9 +42,8 @@ def test_certificate_does_not_import_oracle():
     assert "oracle" not in package_imports("certificate")
 
 
-def test_traced_functions_exist():
-    # perfbench/spans.py rebinds latcert.<module>.<function> for each name
-    # in its TRACED table; a missing name would crash only the traced run.
+def traced_table() -> dict:
+    """The TRACED table of perfbench/spans.py, read without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
     table = next(
         node.value
@@ -52,7 +51,13 @@ def test_traced_functions_exist():
         if isinstance(node, ast.Assign)
         and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
     )
-    traced = ast.literal_eval(table)
+    return ast.literal_eval(table)
+
+
+def test_traced_functions_exist():
+    # perfbench/spans.py rebinds latcert.<module>.<function> for each name
+    # in its TRACED table; a missing name would crash only the traced run.
+    traced = traced_table()
     assert traced
     for module, functions in traced.items():
         mod = importlib.import_module(f"latcert.{module}")
@@ -84,6 +89,28 @@ def test_cli_import_skips_dataclasses_and_inspect():
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     heavy |= {"fractions", "decimal", "numbers"}
     assert not heavy & loaded
+
+
+def test_cli_import_loads_every_traced_module():
+    # Recorder.install in perfbench/spans.py runs `import latcert.cli` and
+    # then reads sys.modules["latcert.<module>"] for every traced module,
+    # so a lazy import of one of them would crash every `--trace 1` run.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, latcert.cli; print(' '.join(sorted(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    missing = {f"latcert.{m}" for m in traced_table()} - loaded
+    assert not missing
 
 
 def test_reproduce_output_matches_golden():

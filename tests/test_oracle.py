@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pathlib
@@ -126,6 +127,37 @@ def reference_values(g, radius):
     return out
 
 
+def reference_target_values(g, radius, targets):
+    """brute_values with targets as a 2-D scan: every point of the box in
+    lexicographic order, stopping once each target has its witness."""
+    (a, b), (_, c) = g.entries
+    box = range(-radius, radius + 1)
+    keep = set(targets)
+    out = {}
+    for x in box:
+        for y in box:
+            t = a * x * x + 2 * b * x * y + c * y * y
+            if t not in out and (x or y) and t in keep:
+                out[t] = (x, y)
+                if len(out) == len(keep):
+                    return out
+    return out
+
+
+def grams_with_zeros(seed, count):
+    """Seeded nondegenerate 2x2 Grams, odd entries allowed, with a, b or
+    c (or both a and c) set to 0 in most draws."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b, c = (rng.randint(-30, 30) for _ in range(3))
+        zeros = rng.choice(["", "a", "b", "c", "ac"])
+        a, b, c = (0 if k in zeros else v for k, v in zip("abc", (a, b, c)))
+        if a * c - b * b:
+            out.append(GramLattice.from_rows([[a, b], [b, c]]))
+    return out
+
+
 def reference_low_degree(g, h, bound, radius):
     """(coords, degree, square, multiple) over the box through
     lattice.inner and lattice.norm, sorted by (degree, coords)."""
@@ -182,6 +214,38 @@ class TestScansAgainstReference:
             assert list(got.items()) == [
                 (t, v) for t, v in full.items() if t in targets
             ]
+
+    def test_values_with_targets_match_2d_scan(self):
+        rng = random.Random(6)
+        grams = grams_with_zeros(6, 600)
+        abc = [(g.entries[0][0], g.entries[0][1], g.entries[1][1]) for g in grams]
+        assert all(any(e[i] == 0 for e in abc) for i in range(3))
+        for i, g in enumerate(grams):
+            radius = 1 + i % 15
+            (a, b), (_, c) = g.entries
+            # half the targets are norms of box points, the rest arbitrary
+            hits = [
+                a * x * x + 2 * b * x * y + c * y * y
+                for x, y in (
+                    (rng.randint(-radius, radius), rng.randint(-radius, radius))
+                    for _ in range(2)
+                )
+            ]
+            targets = (0, -2, *hits, rng.randint(-100, 100))
+            got = brute_values(g, radius, targets)
+            assert list(got.items()) == list(
+                reference_target_values(g, radius, targets).items()
+            ), (g.entries, radius, targets)
+
+    @pytest.mark.parametrize("radius", [50, 200])
+    def test_values_with_targets_on_bundled_documents(self, data_dir, radius):
+        for path in sorted(data_dir.glob("*.json")):
+            g = GramLattice.from_rows(json.loads(path.read_text())["gram"])
+            for targets in ((0, -2), (4, 0, -2, 2, -4)):
+                got = brute_values(g, radius, targets)
+                assert list(got.items()) == list(
+                    reference_target_values(g, radius, targets).items()
+                ), (path.name, targets)
 
     def test_low_degree_list_order_and_multiples(self):
         rng = random.Random(4)
