@@ -12,12 +12,13 @@ CHANGE_DIR's BENCHMARK.json, each side's quartiles
 (statistics.quantiles, n=4) and the number of pairs the change won,
 ties counting for neither side. Standard library only.
 
-With --claim WORKLOAD:METRIC (repeatable) the output file also gets a
-`verdicts` block. A claim is met only when the change wins at least
-nine tenths of the pairs and its median beats the parent's by more than
-the parent's interquartile range. `regressed` lists every end-to-end
-metric whose change median is worse than the parent's by more than the
-metric's relative bound in BENCHMARK.json.
+The output file's `verdicts` block judges each --claim WORKLOAD:METRIC
+(repeatable; `claims` is empty without one). A claim is met only when
+the change wins at least nine tenths of the pairs and its median beats
+the parent's by more than the parent's interquartile range. `regressed`
+lists every end-to-end metric whose change median is worse than the
+parent's by more than the metric's relative bound in BENCHMARK.json,
+with or without a claim.
 """
 
 from __future__ import annotations
@@ -162,10 +163,9 @@ def main(argv=None) -> int:
                    + "".join(f"{k}={os.environ[k]}, " for k in ENV_NOTED if k in os.environ)
                    + "runs one at a time",
         "summary": summarize(runs, bench["end_to_end"]),
+        "verdicts": verdicts(runs, bench["end_to_end"], args.claim),
+        "runs": runs,
     }
-    if args.claim:
-        doc["verdicts"] = verdicts(runs, bench["end_to_end"], args.claim)
-    doc["runs"] = runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -22,7 +22,7 @@ import time
 from typing import NamedTuple, Optional
 
 from . import quadform
-from .discgroup import action_order, induced_action, smith_normal_form
+from .discgroup import action_order, discriminant_group, induced_action
 from .isometry import char_poly_rank2, order, preserves_positive_cone
 from .lattice import (
     GramLattice,
@@ -410,9 +410,9 @@ def report_document(
         "derived": {
             "det": determinant(inp.gram),
             "signature": list(report.step("S1").details["signature"]),
-            "invariant_factors": [
-                d for d in smith_normal_form(inp.gram.entries).diagonal if d > 1
-            ],
+            "invariant_factors": list(
+                discriminant_group(inp.gram).invariant_factors
+            ),
             "disc_action_order": s5.get("disc_action_order"),
             "char_poly": s5.get("char_poly"),
             "dominant_root": s5.get("dominant_root"),

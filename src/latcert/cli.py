@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -73,7 +74,10 @@ def load_document(path: str) -> dict:
     if "polarization" not in raw:
         raise DocumentError("missing required field: polarization")
     _require_int_matrix(raw["gram"], "gram")
+    GramLattice.from_rows(raw["gram"])  # a bad gram is reported first
     _require_int_vector(raw["polarization"], "polarization")
+    if len(raw["polarization"]) != 2:
+        raise DocumentError("field polarization must have 2 entries")
     if raw.get("isometry") is not None:
         _require_int_matrix(raw["isometry"], "isometry")
         if len(raw["isometry"]) != 2 or any(len(r) != 2 for r in raw["isometry"]):
@@ -238,7 +242,7 @@ def cmd_disc(args) -> int:
     doc = load_document(args.path)
     g = GramLattice.from_rows(doc["gram"])
     group = discriminant_group(g)
-    gens = [[str(x) for x in w] for w in group.generators]
+    gens = [[_ratio(x, group.scale) for x in c] for c in group.columns]
     if args.format == "json":
         print(
             json.dumps(
@@ -256,6 +260,14 @@ def cmd_disc(args) -> int:
         for f, w in zip(group.invariant_factors, gens):
             print(f"  Z/{f} generated by ({', '.join(w)})")
     return EXIT_PASS
+
+
+def _ratio(p: int, q: int) -> str:
+    """p/q in lowest terms with a positive denominator, as str(Fraction)
+    prints it: "p" when q divides p."""
+    k = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    p, q = p // k, q // k
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def cmd_orbit(args) -> int:

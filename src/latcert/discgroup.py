@@ -7,16 +7,7 @@ from typing import NamedTuple, Optional
 
 from .isometry import is_isometry
 from .lattice import GramLattice
-from .matrices import (
-    Matrix,
-    adjugate,
-    det,
-    from_rows,
-    mat_mul,
-    rational_inverse,
-)
-
-FracVector = tuple["Fraction", ...]  # fractions.Fraction, imported where built
+from .matrices import Matrix, mat_mul
 
 
 class SmithDecomposition(NamedTuple):
@@ -80,17 +71,17 @@ def smith_normal_form(m) -> SmithDecomposition:
 
 
 class DiscriminantGroup(NamedTuple):
-    """L*/L of a nondegenerate lattice: cyclic invariant factors (> 1)
-    with dual-vector generators given in exact rational coordinates.
+    """L*/L of a nondegenerate lattice, in one integer frame.
 
-    The generator coordinates of a dual class w are coordinates * w,
-    row i taken modulo invariant_factors[i].
+    Generator j is columns[j] / scale and has order
+    invariant_factors[j] (each > 1). The coordinate of a dual class w
+    along generator i is rows[i] . w, taken modulo invariant_factors[i].
     """
 
     invariant_factors: tuple[int, ...]
-    generators: tuple[FracVector, ...]
-    coordinates: Matrix
-    gram: GramLattice
+    rows: Matrix
+    columns: Matrix
+    scale: int
 
     @property
     def order(self) -> int:
@@ -109,25 +100,21 @@ def discriminant_group(g: GramLattice) -> DiscriminantGroup:
     Gram matrix.
 
     With U*G*V = D, the quotient is generated by the columns of
-    (U*G)^(-1); the column at index i has order d_i, and row i of U*G
-    gives the coordinate along it.
+    (U*G)^(-1) = adj(U*G) / det(U*G); the column at index i has order
+    d_i, and row i of U*G gives the coordinate along it. Only the
+    indices with d_i > 1 are kept.
     """
     snf = smith_normal_form(g.entries)
     ug = mat_mul(snf.U, g.entries)
-    ug_inv = rational_inverse(ug)
-    factors = []
-    gens = []
-    rows = []
-    for i, d in enumerate(snf.diagonal):
-        if d > 1:
-            factors.append(d)
-            gens.append(tuple(ug_inv[r][i] for r in range(g.rank)))
-            rows.append(ug[i])
+    (a, b), (c, d) = ug
+    columns = ((d, -c), (-b, a))  # of adj(U*G)
+    diagonal = snf.diagonal
+    first = diagonal.count(1)  # d1 | d2: the 1s come first
     return DiscriminantGroup(
-        invariant_factors=tuple(factors),
-        generators=tuple(gens),
-        coordinates=from_rows(rows),
-        gram=g,
+        invariant_factors=diagonal[first:],
+        rows=ug[first:],
+        columns=columns[first:],
+        scale=a * d - b * c,
     )
 
 
@@ -160,29 +147,24 @@ def induced_action(g: GramLattice, m: Matrix) -> DiscAction:
     in integers.
 
     Column j of the action matrix is the generator coordinates of the
-    class of m*w_j. With w_j = adj(U*G) e_j / det(U*G) (see
-    discriminant_group), entry (i, j) is row i of U*G times m times
-    column j of adj(U*G), divided by det(U*G). The division is exact:
-    m maps L* to itself, and U*G maps L* into Z^2.
+    class of m*w_j, so entry (i, j) is rows[i] . m . columns[j] / scale
+    in the frame of discriminant_group. The division is exact: m maps
+    L* to itself, and U*G maps L* into Z^2.
     """
     if not is_isometry(g, m):
         raise ValueError("matrix is not an isometry of the lattice")
-    snf = smith_normal_form(g.entries)
-    ug = mat_mul(snf.U, g.entries)
-    image = mat_mul(mat_mul(ug, m), adjugate(ug))
-    scale = det(ug)
-    keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
+    group = discriminant_group(g)
+    (m00, m01), (m10, m11) = m
     rows = []
-    for i in keep:
+    for r0, r1 in group.rows:
+        x, y = r0 * m00 + r1 * m10, r0 * m01 + r1 * m11  # the row r*m
         row = []
-        for j in keep:
-            q, r = divmod(image[i][j], scale)
-            assert r == 0
+        for c0, c1 in group.columns:
+            q, rem = divmod(x * c0 + y * c1, group.scale)
+            assert rem == 0
             row.append(q)
         rows.append(tuple(row))
-    return DiscAction(
-        matrix=tuple(rows), factors=tuple(snf.diagonal[i] for i in keep)
-    )
+    return DiscAction(matrix=tuple(rows), factors=group.invariant_factors)
 
 
 def action_order(a: DiscAction) -> Optional[int]:

@@ -40,12 +40,3 @@ def adjugate(m: Matrix) -> Matrix:
     (a, b), (c, d) = m
     return ((d, -b), (-c, a))
 
-
-def rational_inverse(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    from fractions import Fraction  # off the import path of every command
-
-    d = det(m)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    adj = adjugate(m)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)

@@ -5,6 +5,7 @@ listed as regressed when the change's median is worse than the parent's
 by more than its relative bound. No benchmark runs here."""
 
 import importlib.util
+import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -76,3 +77,26 @@ def test_regressed_lists_metrics_beyond_their_bound_on_each_workload():
         ("bitsize", "ops_per_s"),
     ]
 
+
+
+def test_main_without_a_claim_still_lists_regressions(monkeypatch, tmp_path):
+    bench = {"end_to_end": METRICS}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+    p50 = {"parent": 1.0, "change": 2.0}  # the change is twice as slow
+
+    def run_once(checkout, workload, seed, seconds):
+        metrics = {"op_ms.p50": {"value": p50[checkout.name]}, "ops_per_s": {"value": 100}}
+        return {"correct": True, "metrics": metrics}
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    out = tmp_path / "ab.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "census",
+            "--pairs", "2", "--first-seed", "1", "--out", str(out)]
+    assert bench_ab.main(argv) == 0
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert verdicts["claims"] == {}
+    assert [(r["workload"], r["metric"]) for r in verdicts["regressed"]] == [
+        ("census", "op_ms.p50")
+    ]

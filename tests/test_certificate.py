@@ -16,9 +16,10 @@ from latcert.certificate import (
     check_S4_low_degree,
     check_S5_isometry,
     enumerate_low_degree,
+    report_document,
     run_certificate,
 )
-from latcert import quadform
+from latcert import cli, quadform
 from latcert.discgroup import discriminant_group
 from latcert.lattice import GramLattice, inner, norm
 from latcert.matrices import from_rows
@@ -26,6 +27,7 @@ from latcert.oracle import brute_action_order, brute_low_degree
 
 from .conftest import (
     CONSTRUCTION_PATHS,
+    DATA_DIR,
     mat_pow,
     rebuild,
     unimodular_inverse,
@@ -214,8 +216,8 @@ class TestS5:
     def test_no_fraction_on_the_certificate_path(
         self, monkeypatch, paper_lattice, sigma
     ):
-        # S1-S5 run in integers; the only Fraction left is a half-integer
-        # dominant root, and these roots are integral.
+        # S1-S5, the report and `disc` run in integers; the only Fraction
+        # left is a half-integer dominant root, and these roots are integral.
         built = []
         original = Fraction.__new__
 
@@ -232,7 +234,10 @@ class TestS5:
             CertificateInput(GramLattice.from_rows([[4, 1], [1, -76]]), (1, 0))
         )
         for inp in inputs:
-            assert run_certificate(inp).verdict == "pass"
+            report = run_certificate(inp)
+            assert report.verdict == "pass"
+            report_document(inp, report)
+        assert cli.main(["disc", str(DATA_DIR / "gizatullin.json")]) == 0
         assert built == []
 
     def test_automorph_generator_always_qualifies(self):

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latcert.certificate import (
     CertificateInput,
@@ -17,11 +22,12 @@ from latcert.cli import (
     load_document,
     main,
 )
+from latcert.discgroup import discriminant_group, smith_normal_form
 from latcert.lattice import GramLattice
-from latcert.matrices import from_rows
+from latcert.matrices import from_rows, mat_mul
 from latcert.oracle import MAX_BOX_RADIUS
 
-from .conftest import mat_pow
+from .conftest import mat_pow, nondegenerate_lattices
 
 BUNDLED = (
     "gizatullin.json",
@@ -259,6 +265,29 @@ def test_isometry_other_than_2x2_rejected(capsys, tmp_path, cmd, isometry):
     assert "isometry must be a 2x2 matrix" in err
 
 
+@pytest.mark.parametrize("cmd", ["check", "disc", "orbit", "enumerate"])
+@pytest.mark.parametrize("polarization", [[1, 0, 0], [1]])
+def test_polarization_other_than_2_entries_rejected(
+    capsys, tmp_path, cmd, polarization
+):
+    # disc used to accept [1, 0, 0]; check and enumerate failed only in
+    # lattice.inner, with a message that did not name the field
+    path = tmp_path / "doc.json"
+    path.write_text(
+        json.dumps(
+            {
+                "gram": [[4, 20], [20, 4]],
+                "polarization": polarization,
+                "isometry": [[10, 1], [-1, 0]],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, cmd, str(path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "polarization must have 2 entries" in err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_orbit_too_long_to_print_leaves_stdout_empty(capsys, tmp_path, fmt):
     # with sigma^60 as the isometry, orbit entries pass 4300 digits by k = 80
@@ -435,3 +464,60 @@ class TestExitCodeContract:
     def test_bundled_documents(self, capsys, data_dir, name, expected):
         code, _, _ = run_cli(capsys, "check", str(data_dir / name))
         assert code == expected
+
+
+# det(U*G) < 0, with zero generator coordinates; det(U*G) < 0 and cyclic;
+# the datum; two 2-torsion factors
+DISC_EXAMPLES = (
+    [[-6, -6], [-6, -4]],
+    [[4, 1], [1, -76]],
+    [[4, 20], [20, 4]],
+    [[2, 0], [0, -2]],
+)
+
+
+def fraction_generators(g: GramLattice) -> list[list[str]]:
+    """The columns of (U*G)^(-1) at the invariant factors > 1, entry by
+    entry as str(Fraction), with U from smith_normal_form."""
+    snf = smith_normal_form(g.entries)
+    (a, b), (c, d) = mat_mul(snf.U, g.entries)
+    scale = a * d - b * c
+    columns = ((d, -c), (-b, a))  # of adj(U*G)
+    return [
+        [str(Fraction(x, scale)) for x in column]
+        for column, f in zip(columns, snf.diagonal)
+        if f > 1
+    ]
+
+
+def test_disc_examples_cover_negative_scale_and_zero_coordinates():
+    groups = [discriminant_group(GramLattice.from_rows(r)) for r in DISC_EXAMPLES]
+    assert any(g.scale < 0 and len(g.invariant_factors) == 2 for g in groups)
+    assert any(g.scale < 0 and len(g.invariant_factors) == 1 for g in groups)
+    assert any(x == 0 for g in groups if g.scale < 0 for c in g.columns for x in c)
+
+
+@pytest.fixture(scope="module")
+def disc_doc(tmp_path_factory):
+    return tmp_path_factory.mktemp("disc") / "doc.json"
+
+
+@given(
+    g=st.one_of(
+        nondegenerate_lattices(), nondegenerate_lattices(-(10**12), 10**12)
+    )
+)
+@example(g=GramLattice.from_rows(DISC_EXAMPLES[0]))
+@example(g=GramLattice.from_rows(DISC_EXAMPLES[1]))
+@example(g=GramLattice.from_rows(DISC_EXAMPLES[2]))
+@example(g=GramLattice.from_rows(DISC_EXAMPLES[3]))
+@settings(max_examples=200, deadline=None)
+def test_disc_generators_print_as_fractions(disc_doc, g):
+    disc_doc.write_text(
+        json.dumps({"gram": [list(r) for r in g.entries], "polarization": [1, 0]})
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["disc", str(disc_doc), "--format", "json"])
+    assert code == EXIT_PASS
+    assert json.loads(out.getvalue())["generators"] == fraction_generators(g)

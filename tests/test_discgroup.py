@@ -87,9 +87,10 @@ class TestDiscriminantGroup:
         assert group.invariant_factors == (2, 2)
 
     def test_generators_scale_into_lattice(self, paper_lattice):
+        # generator j is columns[j] / scale, so d_j times it is integral
         group = discriminant_group(paper_lattice)
-        for d, w in zip(group.invariant_factors, group.generators):
-            assert all((d * x).denominator == 1 for x in w)
+        for d, column in zip(group.invariant_factors, group.columns):
+            assert all(d * x % group.scale == 0 for x in column)
 
     @given(nondegenerate_lattices())
     @settings(max_examples=150)

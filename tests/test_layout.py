@@ -67,9 +67,8 @@ def test_traced_functions_exist():
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
-    # pulls in decimal and numbers; only `disc` and an odd-trace dominant
-    # root need a Fraction, and every `latcert` process would pay to
-    # import them.
+    # pulls in decimal and numbers; only an odd-trace dominant root needs
+    # a Fraction, and every `latcert` process would pay to import them.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [
