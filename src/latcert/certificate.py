@@ -71,12 +71,19 @@ class CertificateInput(_InputFields):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
-    def __new__(cls, *args, **kwargs):
+    def __new__(cls, *args, **kwargs):  # every command's input rules
         self = super().__new__(cls, *args, **kwargs)
-        if not any(self.polarization):
+        h, m = self.polarization, self.isometry
+        if len(h) != 2:
+            raise ValueError("field polarization must have 2 entries")
+        if not (h[0] or h[1]):
             raise ValueError("polarization must be nonzero")
+        if m is not None and (len(m) != 2 or len(m[0]) != 2 or len(m[1]) != 2):
+            raise ValueError("field isometry must be a 2x2 matrix")
         if self.degree_bound < 1:
             raise ValueError("degree_bound must be >= 1")
+        if self.search_bound < 1:
+            raise ValueError("search_bound must be >= 1")
         return self
 
 

@@ -54,7 +54,10 @@ class DocumentError(ValueError):
     pass
 
 
-def load_document(path: str) -> dict:
+def load_document(path: str, degree_bound: Optional[int] = None):
+    """(CertificateInput, box_radius) of a document, with the JSON checks
+    only: CertificateInput owns the field rules and defaults. A degree
+    bound given on the command line overrides the document's."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -74,23 +77,28 @@ def load_document(path: str) -> dict:
     if "polarization" not in raw:
         raise DocumentError("missing required field: polarization")
     _require_int_matrix(raw["gram"], "gram")
-    GramLattice.from_rows(raw["gram"])  # a bad gram is reported first
+    gram = GramLattice.from_rows(raw["gram"])  # a bad gram is reported first
     _require_int_vector(raw["polarization"], "polarization")
-    if len(raw["polarization"]) != 2:
-        raise DocumentError("field polarization must have 2 entries")
-    if raw.get("isometry") is not None:
-        _require_int_matrix(raw["isometry"], "isometry")
-        if len(raw["isometry"]) != 2 or any(len(r) != 2 for r in raw["isometry"]):
-            raise DocumentError("field isometry must be a 2x2 matrix")
+    isometry = raw.get("isometry")
+    if isometry is not None:
+        _require_int_matrix(isometry, "isometry")
+        isometry = from_rows(isometry)
     for key in ("degree_bound", "search_bound", "box_radius"):
-        if key in raw and (not isinstance(raw[key], int) or raw[key] < 1):
+        if type(raw.get(key, 1)) is not int:  # refuses JSON true and false
             raise DocumentError(f"field {key} must be a positive integer")
-    if raw.get("box_radius", 0) > MAX_BOX_RADIUS:
+    box_radius = raw.get("box_radius", DEFAULT_BOX_RADIUS)
+    if box_radius < 1:
+        raise DocumentError("field box_radius must be a positive integer")
+    if box_radius > MAX_BOX_RADIUS:
         raise DocumentError(
             f"field box_radius must be at most {MAX_BOX_RADIUS}; the --verify "
             "value scan visits (2*box_radius + 1)^2 points"
         )
-    return raw
+    bounds = {k: raw[k] for k in ("degree_bound", "search_bound") if k in raw}
+    if degree_bound is not None:
+        bounds["degree_bound"] = degree_bound
+    h = tuple(raw["polarization"])
+    return CertificateInput(gram, h, isometry, **bounds), box_radius
 
 
 def _require_int_matrix(value, name: str) -> None:
@@ -113,21 +121,6 @@ def _require_int_vector(value, name: str) -> None:
         or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)
     ):
         raise DocumentError(f"field {name} must be an integer array")
-
-
-def _build_input(doc: dict, degree_bound: Optional[int]) -> CertificateInput:
-    """The certificate input of a document. A degree bound given on the
-    command line overrides the document's; absent fields take the
-    CertificateInput defaults."""
-    bounds = {k: doc[k] for k in ("degree_bound", "search_bound") if k in doc}
-    if degree_bound is not None:
-        bounds["degree_bound"] = degree_bound
-    return CertificateInput(
-        gram=GramLattice.from_rows(doc["gram"]),
-        polarization=tuple(doc["polarization"]),
-        isometry=from_rows(doc["isometry"]) if doc.get("isometry") else None,
-        **bounds,
-    )
 
 
 def _low_degree_scan(
@@ -214,12 +207,10 @@ def _emit(doc: dict, fmt: str) -> None:
 
 
 def cmd_check(args) -> int:
-    doc = load_document(args.path)
-    inp = _build_input(doc, args.degree_bound)
+    inp, box_radius = load_document(args.path, args.degree_bound)
     report = run_certificate(inp)
     out = report_document(inp, report)
     if args.verify:
-        box_radius = doc.get("box_radius", DEFAULT_BOX_RADIUS)
         out["verify"] = _run_verify(inp, report, box_radius)
         if any(v["status"] == "mismatch" for v in out["verify"].values()):
             out["verdict"] = "fail"
@@ -239,9 +230,7 @@ def cmd_pell(args) -> int:
 
 
 def cmd_disc(args) -> int:
-    doc = load_document(args.path)
-    g = GramLattice.from_rows(doc["gram"])
-    group = discriminant_group(g)
+    group = discriminant_group(load_document(args.path)[0].gram)
     gens = [[_ratio(x, group.scale) for x in c] for c in group.columns]
     if args.format == "json":
         print(
@@ -271,13 +260,11 @@ def _ratio(p: int, q: int) -> str:
 
 
 def cmd_orbit(args) -> int:
-    doc = load_document(args.path)
-    g = GramLattice.from_rows(doc["gram"])
-    if not doc.get("isometry"):
+    inp, _ = load_document(args.path)
+    m = inp.isometry
+    if m is None:
         raise DocumentError("orbit requires an isometry in the document")
-    m = from_rows(doc["isometry"])
-    h = tuple(doc["polarization"])
-    orbit = polarization_orbit(g, m, h, args.k_max)
+    orbit = polarization_orbit(inp.gram, m, inp.polarization, args.k_max)
     char = char_poly_rank2(m)
     # Refused before formatting, which took seconds to reach the limit.
     limit = sys.get_int_max_str_digits()
@@ -312,7 +299,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    inp = _build_input(load_document(args.path), args.bound)
+    inp, _ = load_document(args.path, args.bound)
     classes = _low_degree_scan(inp.gram, inp.polarization, inp.degree_bound)
     if args.format == "json":
         print(json.dumps([c._asdict() for c in classes], sort_keys=True))

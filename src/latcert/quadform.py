@@ -109,9 +109,14 @@ def zero_witness(f: BinaryForm) -> tuple[int, int]:
     return (x // g, y // g)
 
 
-def pell_fundamental(d: int) -> PellSolution:
+def pell_fundamental(
+    d: int, y_limit: Optional[int] = None
+) -> Optional[PellSolution]:
     """Minimal positive solution of x^2 - d*y^2 = 1, via the periodic
-    continued-fraction expansion of sqrt(d)."""
+    continued-fraction expansion of sqrt(d); None when a convergent
+    denominator passes y_limit before the solution is reached (its y is
+    then larger). The denominators grow at least as fast as Fibonacci
+    numbers, so a limit bounds the walk by O(log y_limit) steps."""
     if d <= 0:
         raise ValueError("d must be positive")
     a0 = math.isqrt(d)
@@ -121,6 +126,8 @@ def pell_fundamental(d: int) -> PellSolution:
     p_prev, p_cur = 1, a0
     q_prev, q_cur = 0, 1
     while p_cur * p_cur - d * q_cur * q_cur != 1:
+        if y_limit is not None and q_cur > y_limit:
+            return None
         m = q * a - m
         q = (d - m * m) // q
         a = (a0 + m) // q
@@ -208,14 +215,20 @@ def _pell_class_search(
     Completing the square gives u^2 - disc*y^2 = 4t with u = 2x + b*y.
     Every solution class of the generalized Pell equation contains a
     representative with |y| below an exact bound derived from the
-    fundamental unit, so a finite scan is a complete decision.
+    fundamental unit (x, y), so a finite scan is a complete decision.
+    With n = 4t, that bound passes search_bound S whenever
+    y*|n| >= 2*S^2*sqrt(disc), as 2*(x - 1) < 2*y*sqrt(disc); the walk
+    to the unit stops there, and the answer is "yes" or "unknown".
     """
     assert f.a == 1
     disc = f.discriminant
     n = 4 * t
-    fund = pell_fundamental(disc)
-    bound_sq = (fund.y * fund.y * abs(n)) // (2 * (fund.x - 1))
-    y_bound = math.isqrt(bound_sq) + 1
+    fund = pell_fundamental(disc, math.isqrt(4 * search_bound**4 * disc // n**2) + 1)
+    if fund is None:
+        y_bound = search_bound + 1
+    else:
+        bound_sq = (fund.y * fund.y * abs(n)) // (2 * (fund.x - 1))
+        y_bound = math.isqrt(bound_sq) + 1
     for y in range(min(y_bound, search_bound) + 1):
         rhs = n + disc * y * y
         if rhs < 0 or not _is_square(rhs):

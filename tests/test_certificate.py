@@ -28,6 +28,7 @@ from latcert.oracle import brute_action_order, brute_low_degree
 from .conftest import (
     CONSTRUCTION_PATHS,
     DATA_DIR,
+    identity,
     mat_pow,
     rebuild,
     unimodular_inverse,
@@ -338,6 +339,10 @@ class TestRunCertificate:
         [
             ({"polarization": (0, 0)}, "polarization must be nonzero"),
             ({"degree_bound": 0}, "degree_bound must be >= 1"),
+            ({"polarization": (1, 0, 0)}, "polarization must have 2 entries"),
+            ({"isometry": identity(3)}, "isometry must be a 2x2 matrix"),
+            ({"search_bound": 0}, "search_bound must be >= 1"),
+            ({"search_bound": -5}, "search_bound must be >= 1"),
         ],
     )
     def test_every_construction_path_validates_input(

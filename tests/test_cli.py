@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 import sys
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from latcert.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
     EXIT_PASS,
+    EXIT_UNKNOWN,
     DocumentError,
     load_document,
     main,
@@ -288,6 +290,25 @@ def test_polarization_other_than_2_entries_rejected(
     assert "polarization must have 2 entries" in err
 
 
+@pytest.mark.parametrize("cmd", ["check", "disc", "orbit", "enumerate"])
+def test_zero_polarization_rejected_by_every_command(capsys, tmp_path, cmd):
+    # disc exited 0 and orbit printed an all-zero orbit
+    path = tmp_path / "doc.json"
+    path.write_text(
+        json.dumps(
+            {
+                "gram": [[4, 20], [20, 4]],
+                "polarization": [0, 0],
+                "isometry": [[10, 1], [-1, 0]],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, cmd, str(path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "polarization must be nonzero" in err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_orbit_too_long_to_print_leaves_stdout_empty(capsys, tmp_path, fmt):
     # with sigma^60 as the isometry, orbit entries pass 4300 digits by k = 80
@@ -352,6 +373,33 @@ def test_square_discriminant_with_huge_coefficient_is_fast(capsys, tmp_path):
     ]
 
 
+def test_eighteen_digit_entry_answers_within_a_second(capsys, tmp_path):
+    # S2 computed the whole fundamental unit of D ~ 4.9e17 before its
+    # search bound capped the y scan, and ran past 20 s
+    path = tmp_path / "doc.json"
+    path.write_text(
+        json.dumps(
+            {"gram": [[2, 1], [1, -246913578024691356]], "polarization": [1, 0]}
+        )
+    )
+
+    def alarm(*_):
+        raise TimeoutError("check ran past 1 s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code, out, _ = run_cli(capsys, "check", str(path), "--format", "json")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_UNKNOWN
+    s2 = json.loads(out)["steps"][1]
+    assert s2["details"]["t=-2"] == {"status": "unknown", "reason": "pell-exhausted"}
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_library_report_matches_cli_json(capsys, data_dir, name):
     path = str(data_dir / name)
@@ -390,9 +438,41 @@ class TestDocumentValidation:
         with pytest.raises(DocumentError, match="integer"):
             load_document(str(doc))
 
-    def test_round_trip_idempotent(self, data_dir):
-        raw = load_document(str(data_dir / "gizatullin.json"))
-        assert json.loads(json.dumps(raw)) == raw
+    def test_returns_the_input_of_the_document_literal(self, data_dir):
+        inp, box_radius = load_document(str(data_dir / "gizatullin.json"))
+        assert inp == CertificateInput(
+            gram=GramLattice.from_rows([[4, 20], [20, 4]]),
+            polarization=(1, 0),
+            isometry=((10, 1), (-1, 0)),
+            degree_bound=16,
+        )
+        assert box_radius == 50
+
+    def test_box_radius_and_degree_bound_override(self, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(
+            '{"gram": [[4, 20], [20, 4]], "polarization": [1, 0], '
+            '"degree_bound": 8, "search_bound": 7, "box_radius": 9}'
+        )
+        inp, box_radius = load_document(str(doc), degree_bound=5)
+        assert (inp.degree_bound, inp.search_bound, box_radius) == (5, 7, 9)
+
+    @pytest.mark.parametrize("key", ["degree_bound", "search_bound", "box_radius"])
+    @pytest.mark.parametrize("value", ["true", "false", "1.0", '"1"'])
+    def test_bound_that_is_not_an_integer_rejected(
+        self, capsys, tmp_path, key, value
+    ):
+        # "degree_bound": true used to run as bound 1, and "box_radius":
+        # true scanned radius 1 and was echoed as true in the verify block
+        path = tmp_path / "doc.json"
+        path.write_text(
+            '{"gram": [[4, 20], [20, 4]], "polarization": [1, 0], '
+            f'"isometry": [[10, 1], [-1, 0]], "{key}": {value}}}'
+        )
+        code, out, err = run_cli(capsys, "check", str(path), "--verify")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert f"field {key} must be a positive integer" in err
 
 
 class TestOtherSubcommands:

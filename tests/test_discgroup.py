@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latcert.certificate import _automorph
 from latcert.discgroup import (
     action_order,
     discriminant_group,
@@ -10,6 +11,7 @@ from latcert.discgroup import (
 )
 from latcert.lattice import GramLattice
 from latcert.matrices import det, from_rows, mat_mul
+from latcert.oracle import brute_action_order
 
 from .conftest import (
     compose,
@@ -141,3 +143,18 @@ class TestActionOrder:
 
     def test_trivial_group(self):
         assert action_order(identity_action(())) == 1
+
+    @pytest.mark.parametrize(
+        "rows,factors,n",
+        [([[-12, 1], [1, 12]], (145,), 2), ([[-12, 2], [2, 4]], (2, 26), 6)],
+    )
+    def test_automorph_order_need_not_divide_the_exponent(self, rows, factors, n):
+        # n divides |Aut(L*/L)| (phi(145) = 112 for Z/145), not the
+        # group exponent, so testing only divisors of the exponent
+        # would not bound action_order
+        g = GramLattice.from_rows(rows)
+        m = _automorph(g)
+        action = induced_action(g, m)
+        assert action.factors == factors
+        assert action_order(action) == brute_action_order(g, m) == n
+        assert factors[-1] % n != 0

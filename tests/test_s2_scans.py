@@ -4,7 +4,10 @@ references: the box-20 search for a value +-1 in
 `_decide_primitive`, and the set-based congruence filter over the
 moduli 3, 5, 8 and 16. Verdicts, witnesses and reason codes must be
 identical; the new scans solve one quadratic per scan row instead of
-visiting every point of the box."""
+visiting every point of the box. The Pell-class search is checked
+against a reference that computes the whole fundamental unit before
+capping its y scan at the search bound; the kernel stops the unit's
+walk once the cap is sure to bind."""
 
 import functools
 import itertools
@@ -78,6 +81,27 @@ def ref_first_witnesses(f0, box):
     return first
 
 
+def ref_pell_class_search(f, t, search_bound):
+    disc = f.discriminant
+    n = 4 * t
+    fund = quadform.pell_fundamental(disc)
+    bound_sq = (fund.y * fund.y * abs(n)) // (2 * (fund.x - 1))
+    y_bound = math.isqrt(bound_sq) + 1
+    for y in range(min(y_bound, search_bound) + 1):
+        rhs = n + disc * y * y
+        if rhs < 0 or not quadform._is_square(rhs):
+            continue
+        u = math.isqrt(rhs)
+        for uu in ({u, -u} if u else {0}):
+            if (uu - f.b * y) % 2 == 0:
+                x = (uu - f.b * y) // 2
+                if f.evaluate(x, y) == t:
+                    return Representation(status="yes", witness=(x, y))
+    if y_bound > search_bound:
+        return Representation(status="unknown", reason=REASON_PELL)
+    return Representation(status="no", reason=REASON_PELL)
+
+
 def ref_decide_primitive(f0, t0, search_bound):
     if quadform._is_square(f0.discriminant):
         w = quadform._divisor_search(f0, t0)
@@ -85,11 +109,9 @@ def ref_decide_primitive(f0, t0, search_bound):
             return Representation(status="yes", witness=w)
         return Representation(status="no", reason=REASON_PELL)
     if f0.a == 1:
-        return quadform._pell_class_search(f0, t0, search_bound)
+        return ref_pell_class_search(f0, t0, search_bound)
     if f0.c == 1:
-        r = quadform._pell_class_search(
-            BinaryForm(f0.c, f0.b, f0.a), t0, search_bound
-        )
+        r = ref_pell_class_search(BinaryForm(f0.c, f0.b, f0.a), t0, search_bound)
         if r.is_yes:
             return Representation(status="yes", witness=r.witness[::-1])
         return r
@@ -257,6 +279,37 @@ class TestCongruenceFilter:
             assert quadform._congruence_blocks(f, t) == ref_congruence_blocks(
                 f, t
             ), (a, b, c, t)
+
+
+class TestPellClassSearch:
+    def test_seeded_forms_match_full_unit_reference(self):
+        # small search bounds make the cap bind, the large ones let the
+        # whole unit be computed; both branches must be exercised
+        rng = random.Random(4417)
+        capped = 0
+        queries = 0
+        while queries < 1500:
+            b, c = rng.randint(-40, 40), rng.randint(-3000, 3000)
+            f = BinaryForm(1, b, c)
+            disc = f.discriminant
+            if disc <= 0 or quadform._is_square(disc):
+                continue
+            t = rng.choice((-1, 1, -2, 2, -3, -4, 6)) * rng.randint(1, 30)
+            bound = rng.choice((1, 2, 3, 7, 20, 100, 400))
+            got = quadform._pell_class_search(f, t, bound)
+            assert got == ref_pell_class_search(f, t, bound), (f, t, bound)
+            limit = math.isqrt(4 * bound**4 * disc // (16 * t * t)) + 1
+            capped += quadform.pell_fundamental(disc, limit) is None
+            queries += 1
+        assert 100 < capped < queries - 100
+
+    def test_walk_stops_past_the_limit(self):
+        # 1766319049^2 - 61 * 226153980^2 = 1 is the least solution
+        for limit in (226153980, 10**12, None):
+            assert quadform.pell_fundamental(61, limit) == (
+                1766319049, 226153980, 61, 1
+            )
+        assert quadform.pell_fundamental(61, 10**6) is None
 
 
 class TestRepresentsValue:
