@@ -18,7 +18,12 @@ the change wins at least nine tenths of the pairs and its median beats
 the parent's by more than the parent's interquartile range. `regressed`
 lists every end-to-end metric whose change median is worse than the
 parent's by more than the metric's relative bound in BENCHMARK.json,
-with or without a claim.
+with or without a claim. `unresolved` lists every end-to-end metric
+whose parent runs spread too widely to judge it against that bound (an
+interquartile range wider than bound x |parent median|), unless every
+change run beats every parent run. `failed_share` gives, per workload
+and side, the failed ops over the attempted ones, summed over the runs,
+and whether the change's share grew.
 """
 
 from __future__ import annotations
@@ -86,8 +91,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 
 def verdicts(runs: list[dict], metrics: list[dict], claims: list[str]) -> dict:
-    """Each claim WORKLOAD:METRIC met or not, and the end-to-end metrics
-    that regressed beyond their bound, on any workload run."""
+    """Each claim WORKLOAD:METRIC met or not; on every workload run, the
+    end-to-end metrics that regressed beyond their bound and those too
+    noisy to judge; and each side's failed share per workload."""
     by_name = {m["name"]: m for m in metrics}
     out = {"claims": {}, "regressed": []}
     for claim in claims:
@@ -102,17 +108,35 @@ def verdicts(runs: list[dict], metrics: list[dict], claims: list[str]) -> dict:
             "median_gain": round(gap, 4),
             "parent_iqr": round(q3 - q1, 4),
         }
+    out["unresolved"], out["failed_share"] = [], {}
     for workload in workloads(runs):
         for metric in metrics:
             parent, change, _ = paired(runs, workload, metric)
             p_med, c_med = statistics.median(parent), statistics.median(change)
-            worse = c_med - p_med if metric["better"] == "lower" else p_med - c_med
+            lower = metric["better"] == "lower"
+            worse = c_med - p_med if lower else p_med - c_med
             if worse > metric["bound"] * abs(p_med):
                 out["regressed"].append({
                     "workload": workload, "metric": metric["name"],
                     "parent_median": round(p_med, 4), "change_median": round(c_med, 4),
                     "bound": metric["bound"],
                 })
+            q1, _, q3 = statistics.quantiles(parent, n=4)
+            separated = max(change) < min(parent) if lower else min(change) > max(parent)
+            if q3 - q1 > metric["bound"] * abs(p_med) and not separated:
+                out["unresolved"].append({
+                    "workload": workload, "metric": metric["name"],
+                    "parent_median": round(p_med, 4), "parent_iqr": round(q3 - q1, 4),
+                    "bound": metric["bound"],
+                })
+        share = {}
+        for side in ("parent", "change"):
+            lines = [r["last_line"] for r in runs
+                     if r["workload"] == workload and r["side"] == side]
+            attempted = sum(line["attempted"] for line in lines)
+            share[side] = sum(line["failed"] for line in lines) / max(attempted, 1)
+        share["grew"] = share["change"] > share["parent"]
+        out["failed_share"][workload] = share
     return out
 
 

@@ -39,7 +39,9 @@ from .matrices import Matrix, Vector, mat_vec
 
 FORMAT_VERSION = "1"
 DEFAULT_DEGREE_BOUND = 16
-DEFAULT_SEARCH_BOUND = 1000
+# S4 lists every class of degree < degree_bound, and their number grows
+# as degree_bound^2 (261,121 at 1024 for [[4,1],[1,0]]); the paper needs 16.
+MAX_DEGREE_BOUND = 1024
 POLARIZATION_NORM = 4
 
 # The published lemma states the dominant eigenvalue of the isometry as
@@ -64,7 +66,7 @@ class _InputFields(NamedTuple):
     polarization: Vector
     isometry: Optional[Matrix] = None
     degree_bound: int = DEFAULT_DEGREE_BOUND
-    search_bound: int = DEFAULT_SEARCH_BOUND
+    search_bound: int = quadform.DEFAULT_SEARCH_BOUND
 
 
 class CertificateInput(_InputFields):
@@ -82,6 +84,8 @@ class CertificateInput(_InputFields):
             raise ValueError("field isometry must be a 2x2 matrix")
         if self.degree_bound < 1:
             raise ValueError("degree_bound must be >= 1")
+        if self.degree_bound > MAX_DEGREE_BOUND:
+            raise ValueError(f"degree_bound must be at most {MAX_DEGREE_BOUND}")
         if self.search_bound < 1:
             raise ValueError("search_bound must be >= 1")
         return self
@@ -254,25 +258,15 @@ def check_S4_low_degree(
         "bound from Theorem logsarkisov(2)"
     )
     h_norm, _ = normalize_polarization(h)
-    classes = enumerate_low_degree(g, h_norm, degree_bound)
     listing = [
         {"coords": list(xy), "degree": d, "square": sq, "multiple_of_h": m}
-        for xy, d, sq, m in classes
+        for xy, d, sq, m in enumerate_low_degree(g, h_norm, degree_bound)
     ]
     details = {"classes": listing, "degree_bound": degree_bound}
-    for c in classes:
-        if c.multiple_of_h is None:
-            return StepResult(
-                "S4",
-                "fail",
-                citation,
-                witness={
-                    "coords": list(c.coords),
-                    "degree": c.degree,
-                    "square": c.square,
-                },
-                details=details,
-            )
+    for row in listing:
+        if row["multiple_of_h"] is None:
+            witness = {k: row[k] for k in ("coords", "degree", "square")}
+            return StepResult("S4", "fail", citation, witness, details)
     return StepResult("S4", "pass", citation, details=details)
 
 
@@ -294,9 +288,7 @@ def _automorph(g: GramLattice) -> Optional[Matrix]:
     M preserves each cone, and M*h = h would make 1 an eigenvalue, so M
     fixes no vector of positive norm.
     """
-    f = quadform.to_binary_form(g)
-    cont = quadform.content(f)
-    f0 = quadform.BinaryForm(f.a // cont, f.b // cont, f.c // cont)
+    f0, _ = quadform.primitive_part(quadform.to_binary_form(g))
     try:
         return quadform.automorph_generator(f0)
     except ValueError:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
@@ -22,7 +21,7 @@ from .certificate import (
     run_certificate,
 )
 from .discgroup import discriminant_group
-from .isometry import char_poly_rank2, polarization_orbit
+from .isometry import char_poly_rank2, polarization_orbit, ratio
 from .lattice import GramLattice, LowDegreeClass, norm
 from .matrices import Vector, from_rows
 from .oracle import (
@@ -102,25 +101,18 @@ def load_document(path: str, degree_bound: Optional[int] = None):
 
 
 def _require_int_matrix(value, name: str) -> None:
-    if (
-        not isinstance(value, list)
-        or not value
-        or not all(
-            isinstance(row, list)
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
-            for row in value
-        )
-    ):
+    if not (isinstance(value, list) and value and all(map(_int_list, value))):
         raise DocumentError(f"field {name} must be a 2D integer array")
 
 
 def _require_int_vector(value, name: str) -> None:
-    if (
-        not isinstance(value, list)
-        or not value
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)
-    ):
+    if not (value and _int_list(value)):
         raise DocumentError(f"field {name} must be an integer array")
+
+
+def _int_list(value) -> bool:
+    """A JSON array of integers only (true and false are not integers)."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 def _low_degree_scan(
@@ -220,8 +212,30 @@ def cmd_check(args) -> int:
     ]
 
 
+def _print_limit() -> Optional[int]:
+    """The least integer too long for str(); None when there is no limit."""
+    digits = sys.get_int_max_str_digits()
+    return 10**digits if digits else None
+
+
+def _check_printable(largest: Optional[int], what: str, hint: str = "") -> None:
+    """Refuse, before anything is formatted, output whose largest integer
+    is too long to print; None stands for one known to be past the limit."""
+    limit = _print_limit()
+    if limit and (largest is None or largest >= limit):
+        raise ValueError(
+            f"{what} exceed the {sys.get_int_max_str_digits()}-digit limit "
+            f"for printing an integer{hint}"
+        )
+
+
 def cmd_pell(args) -> int:
-    sol = pell_fundamental(args.d)
+    # The walk stops once y is too long to print; x > y is checked too.
+    sol = pell_fundamental(args.d, _print_limit())
+    _check_printable(
+        None if sol is None else sol.x,
+        f"the entries of the least solution of x^2 - {args.d}*y^2 = 1",
+    )
     if args.format == "json":
         print(json.dumps({"D": sol.D, "x": sol.x, "y": sol.y}, sort_keys=True))
     else:
@@ -231,7 +245,7 @@ def cmd_pell(args) -> int:
 
 def cmd_disc(args) -> int:
     group = discriminant_group(load_document(args.path)[0].gram)
-    gens = [[_ratio(x, group.scale) for x in c] for c in group.columns]
+    gens = [[ratio(x, group.scale) for x in c] for c in group.columns]
     if args.format == "json":
         print(
             json.dumps(
@@ -251,14 +265,6 @@ def cmd_disc(args) -> int:
     return EXIT_PASS
 
 
-def _ratio(p: int, q: int) -> str:
-    """p/q in lowest terms with a positive denominator, as str(Fraction)
-    prints it: "p" when q divides p."""
-    k = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
-    p, q = p // k, q // k
-    return str(p) if q == 1 else f"{p}/{q}"
-
-
 def cmd_orbit(args) -> int:
     inp, _ = load_document(args.path)
     m = inp.isometry
@@ -267,12 +273,11 @@ def cmd_orbit(args) -> int:
     orbit = polarization_orbit(inp.gram, m, inp.polarization, args.k_max)
     char = char_poly_rank2(m)
     # Refused before formatting, which took seconds to reach the limit.
-    limit = sys.get_int_max_str_digits()
-    if limit and max(abs(x) for _, v, d in orbit for x in (*v, d)) >= 10**limit:
-        raise ValueError(
-            f"orbit entries up to --k-max {args.k_max} exceed the "
-            f"{limit}-digit limit for printing an integer; lower --k-max"
-        )
+    _check_printable(
+        max(abs(x) for _, v, d in orbit for x in (*v, d)),
+        f"orbit entries up to --k-max {args.k_max}",
+        "; lower --k-max",
+    )
     # The whole output is formatted before any of it is printed.
     if args.format == "json":
         text = json.dumps(

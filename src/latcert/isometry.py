@@ -20,23 +20,30 @@ class OrderResult(NamedTuple):
         return self.finite is None
 
 
-class QuadraticRoot(NamedTuple):
-    """Exact value p + q*sqrt(d) with rational p, q (an int when
-    integral) and squarefree d > 1."""
+def ratio(p: int, q: int) -> str:
+    """p/q in lowest terms with a positive denominator, as str(Fraction)
+    prints it: "p" when q divides p."""
+    k = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    p, q = p // k, q // k
+    return str(p) if q == 1 else f"{p}/{q}"
 
-    p: int | Fraction
-    q: int | Fraction
+
+class QuadraticRoot(NamedTuple):
+    """Exact value (p + q*sqrt(d)) / 2 with integers p, q and squarefree
+    d > 1."""
+
+    p: int
+    q: int
     d: int
 
     def __str__(self) -> str:
-        return f"{self.p} + {self.q}*sqrt({self.d})"
+        return f"{ratio(self.p, 2)} + {ratio(self.q, 2)}*sqrt({self.d})"
 
 
 class CharData(NamedTuple):
     trace: int
     det: int
     dominant_root: Optional[QuadraticRoot]  # None when roots are rational
-    rational_root: Optional[int | Fraction] = None
 
 
 def is_isometry(g: GramLattice, m: Matrix) -> bool:
@@ -105,14 +112,6 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
-def _half(n: int) -> int | Fraction:
-    """n / 2 exactly; a Fraction only when n is odd."""
-    if n % 2:
-        from fractions import Fraction  # off the import path of every command
-        return Fraction(n, 2)
-    return n // 2
-
-
 def char_poly_rank2(m: Matrix) -> CharData:
     """Characteristic data (trace, det) of a 2x2 matrix, with the
     dominant real root in exact symbolic form when it is irrational.
@@ -126,16 +125,11 @@ def char_poly_rank2(m: Matrix) -> CharData:
     tr = m[0][0] + m[1][1]
     dt = det(m)
     disc = tr * tr - 4 * dt
-    if disc > 0:
-        s = math.isqrt(disc)
-        if s * s == disc:
-            return CharData(tr, dt, None, rational_root=_half(tr + s))
-        g = math.gcd(m[0][0] - m[1][1], m[0][1], m[1][0])
-        sq, d = _squarefree_split(disc // (g * g))
-        return CharData(tr, dt, QuadraticRoot(p=_half(tr), q=_half(g * sq), d=d))
-    if disc == 0:
-        return CharData(tr, dt, None, rational_root=_half(tr))
-    return CharData(tr, dt, None)  # complex roots
+    if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+        return CharData(tr, dt, None)  # rational or complex roots
+    g = math.gcd(m[0][0] - m[1][1], m[0][1], m[1][0])
+    sq, d = _squarefree_split(disc // (g * g))
+    return CharData(tr, dt, QuadraticRoot(p=tr, q=g * sq, d=d))
 
 
 def polarization_orbit(

@@ -15,6 +15,8 @@ from .lattice import GramLattice, determinant
 from .matrices import Matrix, from_rows, mat_vec
 
 DEFAULT_MODULI = (3, 5, 16)
+# S2's default budget: the largest y the Pell-class search scans.
+DEFAULT_SEARCH_BOUND = 1000
 
 # Reason codes for negative/unknown representability outcomes.
 REASON_CONTENT = "content-divisibility"
@@ -84,6 +86,12 @@ def to_binary_form(g: GramLattice) -> BinaryForm:
 
 def content(f: BinaryForm) -> int:
     return math.gcd(f.a, f.b, f.c)
+
+
+def primitive_part(f: BinaryForm) -> tuple[BinaryForm, int]:
+    """(f / content(f), content(f))."""
+    cont = content(f)
+    return BinaryForm(f.a // cont, f.b // cont, f.c // cont), cont
 
 
 def represents_zero_nontrivially(f: BinaryForm) -> bool:
@@ -254,39 +262,46 @@ def _int_roots(qa: int, qb: int, qc: int) -> list[int]:
     return sorted({num // den for num in (-qb - s, -qb + s) if num % den == 0})
 
 
-def _unimodular_to_leading_one(
-    f: BinaryForm, box: int
-) -> Optional[tuple[BinaryForm, Matrix]]:
-    """Find the first (r, s) in a small box, r ascending, then s, with
-    f(r, s) = +-1; return an equivalent form with leading coefficient
-    f(r, s) and the change of variables (a column-action matrix).
-    Each row costs two square tests of D*r^2 + 4*c*target, and root
-    solves in s only on a hit: O(box), not O(box^2) (c != 0, as the
-    caller passes only nonsquare discriminants). A row r > 0 holds only
-    mirrors (-r, -s) of hits in row -r; gcd(r, s)^2 divides
-    f(r, s) = +-1, so every hit is primitive.
-    """
+def _first_in_box(
+    f: BinaryForm, targets: tuple[int, ...], box: int
+) -> Optional[tuple[int, int]]:
+    """The first (r, s) in the box |r|, |s| <= box, r ascending, then s,
+    with f(r, s) in targets. Each row costs one square test of
+    D*r^2 + 4*c*t per target, and a root solve in s only on a hit:
+    O(box), not O(box^2) (c != 0, as callers pass only nonsquare
+    discriminants). A row r > 0 holds only mirrors (-r, -s) of hits in
+    row -r, so it is not scanned."""
     a, b, c = f
     disc = f.discriminant
     for r in range(-box, 1):
-        hits = [
-            s
-            for target in (1, -1)
-            if _is_square(disc * r * r + 4 * c * target)
-            for s in _int_roots(c, b * r, a * r * r - target)
-            if -box <= s <= box
-        ]
-        if not hits:
-            continue
-        s = min(hits)
-        # complete (r, s) to a unimodular matrix [[r, p], [s, q]]
-        _, xg, yg = _extended_gcd(r, s)
-        q, p = xg, -yg  # r*q - s*p = r*xg + s*yg = 1
-        a2 = f.evaluate(r, s)
-        b2 = 2 * a * r * p + b * (r * q + s * p) + 2 * c * s * q
-        c2 = f.evaluate(p, q)
-        return BinaryForm(a2, b2, c2), from_rows([[r, p], [s, q]])
+        hits = []  # a plain loop: a comprehension per row costs a call
+        for t in targets:
+            if _is_square(disc * r * r + 4 * c * t):
+                roots = _int_roots(c, b * r, a * r * r - t)
+                hits += [s for s in roots if -box <= s <= box]
+        if hits:
+            return r, min(hits)
     return None
+
+
+def _unimodular_to_leading_one(
+    f: BinaryForm, box: int
+) -> Optional[tuple[BinaryForm, Matrix]]:
+    """An equivalent form with leading coefficient f(r, s) = +-1 at the
+    first such (r, s) of the box, and the change of variables (a
+    column-action matrix). gcd(r, s)^2 divides f(r, s) = +-1, so the
+    point is primitive and completes to a unimodular matrix."""
+    found = _first_in_box(f, (1, -1), box)
+    if found is None:
+        return None
+    r, s = found
+    _, xg, yg = _extended_gcd(r, s)
+    q, p = xg, -yg  # r*q - s*p = r*xg + s*yg = 1
+    a, b, c = f
+    a2 = f.evaluate(r, s)
+    b2 = 2 * a * r * p + b * (r * q + s * p) + 2 * c * s * q
+    c2 = f.evaluate(p, q)
+    return BinaryForm(a2, b2, c2), from_rows([[r, p], [s, q]])
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -305,7 +320,7 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def represents_value(
-    g: GramLattice, t: int, search_bound: int = 1000
+    g: GramLattice, t: int, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> Representation:
     """Decide whether the rank-2 lattice g represents the integer t.
 
@@ -323,14 +338,12 @@ def represents_value(
         if represents_zero_nontrivially(f):
             return Representation(status="yes", witness=zero_witness(f))
         return Representation(status="no", reason=REASON_NONSQUARE_DISC)
-    cont = content(f)
+    f0, cont = primitive_part(f)
     if t % cont != 0:
         return Representation(status="no", reason=REASON_CONTENT)
     if _congruence_blocks(f, t):
         return Representation(status="no", reason=REASON_CONGRUENCE)
-    f0 = BinaryForm(f.a // cont, f.b // cont, f.c // cont)
-    t0 = t // cont
-    result = _decide_primitive(f0, t0, search_bound)
+    result = _decide_primitive(f0, t // cont, search_bound)
     if result.is_yes:
         x, y = result.witness
         assert f.evaluate(x, y) == t
@@ -363,18 +376,10 @@ def _decide_primitive(
         if r.is_yes:
             return Representation(status="yes", witness=mat_vec(m, r.witness))
         return r
-    # fall back to a direct witness scan before answering "unknown": the
-    # first (x, y) in the box with f0(x, y) = t0, x ascending, then y, by
-    # one root solve per row whose discriminant D*x^2 + 4*c*t0 is a square
-    # (c != 0, as D is not); a row x > 0 holds only mirrors of row -x
-    box = min(50, search_bound)
-    disc, ct = f0.discriminant, 4 * f0.c * t0
-    for x in range(-box, 1):
-        if not _is_square(disc * x * x + ct):
-            continue
-        for y in _int_roots(f0.c, f0.b * x, f0.a * x * x - t0):
-            if -box <= y <= box:
-                return Representation(status="yes", witness=(x, y))
+    # a direct witness scan before answering "unknown"
+    w = _first_in_box(f0, (t0,), min(50, search_bound))
+    if w is not None:
+        return Representation(status="yes", witness=w)
     return Representation(status="unknown", reason=REASON_PELL)
 
 

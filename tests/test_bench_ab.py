@@ -2,7 +2,10 @@
 met only with at least nine tenths of the pairs won and a median gain
 larger than the parent's interquartile range; an end-to-end metric is
 listed as regressed when the change's median is worse than the parent's
-by more than its relative bound. No benchmark runs here."""
+by more than its relative bound, and as unresolved when the parent's
+interquartile range is wider than that bound unless every change run
+beats every parent run; the failed share is failed over attempted ops
+per workload and side. No benchmark runs here."""
 
 import importlib.util
 import json
@@ -19,17 +22,22 @@ METRICS = [
 ]
 
 
-def runs_of(workload, parent, change, ops=None):
+def runs_of(workload, parent, change, ops=None, failed=(0, 0)):
     """One run per side and seed with the given op_ms.p50 values;
-    ops_per_s is 100 on both sides unless given as (parent, change)."""
+    ops_per_s is 100 on both sides unless given as (parent, change).
+    Each run attempts 1000 ops, of which failed = (parent, change) fail."""
     ops = ops or ([100] * len(parent), [100] * len(change))
     out = []
     for seed, values in enumerate(zip(parent, change, *ops)):
         p50_p, p50_c, ops_p, ops_c = values
-        for side, p50, rate in (("parent", p50_p, ops_p), ("change", p50_c, ops_c)):
+        for side, p50, rate, bad in (
+            ("parent", p50_p, ops_p, failed[0]),
+            ("change", p50_c, ops_c, failed[1]),
+        ):
             metrics = {"op_ms.p50": {"value": p50}, "ops_per_s": {"value": rate}}
+            line = {"attempted": 1000, "failed": bad, "metrics": metrics}
             out.append({"workload": workload, "seed": seed, "side": side,
-                        "last_line": {"metrics": metrics}})
+                        "last_line": line})
     return out
 
 
@@ -78,6 +86,42 @@ def test_regressed_lists_metrics_beyond_their_bound_on_each_workload():
     ]
 
 
+def unresolved(runs):
+    return [(r["workload"], r["metric"])
+            for r in bench_ab.verdicts(runs, METRICS, [])["unresolved"]]
+
+
+def test_unresolved_when_parent_iqr_is_wider_than_the_bound():
+    # parent IQR 0.5 against 0.25 x median 1.0; the change runs overlap
+    parent = [0.6, 0.8, 1.0, 1.2, 1.4, 0.6, 0.8, 1.0, 1.2, 1.4]
+    change = [0.7, 0.9, 1.1, 1.3, 1.5, 0.7, 0.9, 1.1, 1.3, 1.5]
+    runs = runs_of("cli", parent, change)
+    assert unresolved(runs) == [("cli", "op_ms.p50")]
+    assert bench_ab.verdicts(runs, METRICS, [])["regressed"] == []
+
+
+def test_not_unresolved_when_every_change_run_beats_every_parent_run():
+    parent = [0.6, 0.8, 1.0, 1.2, 1.4, 0.6, 0.8, 1.0, 1.2, 1.4]
+    assert unresolved(runs_of("cli", parent, [0.5] * 10)) == []
+    # the same separation in the wrong direction leaves it unresolved
+    assert unresolved(runs_of("cli", parent, [1.5] * 10)) == [("cli", "op_ms.p50")]
+
+
+def test_not_unresolved_when_parent_iqr_is_within_the_bound():
+    parent = [1.0, 1.05, 1.1, 0.95, 0.9] * 2
+    change = [1.5, 0.5, 1.5, 0.5, 1.0] * 2  # wide, but only the parent counts
+    assert unresolved(runs_of("cli", parent, change)) == []
+
+
+def test_failed_share_per_workload_and_side():
+    runs = runs_of("census", [1.0] * 4, [1.0] * 4, failed=(10, 30))
+    runs += runs_of("bitsize", [1.0] * 4, [1.0] * 4, failed=(5, 5))
+    share = bench_ab.verdicts(runs, METRICS, [])["failed_share"]
+    assert share == {
+        "census": {"parent": 0.01, "change": 0.03, "grew": True},
+        "bitsize": {"parent": 0.005, "change": 0.005, "grew": False},
+    }
+
 
 def test_main_without_a_claim_still_lists_regressions(monkeypatch, tmp_path):
     bench = {"end_to_end": METRICS}
@@ -88,7 +132,7 @@ def test_main_without_a_claim_still_lists_regressions(monkeypatch, tmp_path):
 
     def run_once(checkout, workload, seed, seconds):
         metrics = {"op_ms.p50": {"value": p50[checkout.name]}, "ops_per_s": {"value": 100}}
-        return {"correct": True, "metrics": metrics}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     out = tmp_path / "ab.json"

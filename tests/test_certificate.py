@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from latcert.certificate import (
+    MAX_DEGREE_BOUND,
     CertificateInput,
     StepResult,
     _degree_window,
@@ -339,6 +340,10 @@ class TestRunCertificate:
         [
             ({"polarization": (0, 0)}, "polarization must be nonzero"),
             ({"degree_bound": 0}, "degree_bound must be >= 1"),
+            (
+                {"degree_bound": MAX_DEGREE_BOUND + 1},
+                f"degree_bound must be at most {MAX_DEGREE_BOUND}",
+            ),
             ({"polarization": (1, 0, 0)}, "polarization must have 2 entries"),
             ({"isometry": identity(3)}, "isometry must be a 2x2 matrix"),
             ({"search_bound": 0}, "search_bound must be >= 1"),
@@ -351,6 +356,15 @@ class TestRunCertificate:
         valid = CertificateInput(gram=paper_lattice, polarization=(1, 0))
         with pytest.raises(ValueError, match=message):
             rebuild(path, valid, **change)
+
+    def test_degree_bound_limit_itself_is_accepted(self, paper_lattice):
+        # S4 lists about degree_bound^2 classes; the limit keeps that bounded
+        inp = CertificateInput(
+            paper_lattice, (1, 0), degree_bound=MAX_DEGREE_BOUND
+        )
+        assert inp.degree_bound == MAX_DEGREE_BOUND == 1024
+        with pytest.raises(ValueError, match="at most 1024"):
+            CertificateInput(paper_lattice, (1, 0), degree_bound=10**6)
 
     def test_input_defaults_and_immutability(self, paper_lattice):
         inp = CertificateInput(paper_lattice, (1, 0))

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latcert.certificate import (
+    MAX_DEGREE_BOUND,
     CertificateInput,
     report_document,
     run_certificate,
@@ -373,6 +374,23 @@ def test_square_discriminant_with_huge_coefficient_is_fast(capsys, tmp_path):
     ]
 
 
+def run_under_alarm(seconds, capsys, *argv):
+    """run_cli, with a TimeoutError if it runs past `seconds`."""
+
+    def alarm(*_):
+        raise TimeoutError(f"{' '.join(argv)} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            return run_cli(capsys, *argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_eighteen_digit_entry_answers_within_a_second(capsys, tmp_path):
     # S2 computed the whole fundamental unit of D ~ 4.9e17 before its
     # search bound capped the y scan, and ran past 20 s
@@ -382,22 +400,71 @@ def test_eighteen_digit_entry_answers_within_a_second(capsys, tmp_path):
             {"gram": [[2, 1], [1, -246913578024691356]], "polarization": [1, 0]}
         )
     )
-
-    def alarm(*_):
-        raise TimeoutError("check ran past 1 s")
-
-    previous = signal.signal(signal.SIGALRM, alarm)
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        try:
-            code, out, _ = run_cli(capsys, "check", str(path), "--format", "json")
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+    code, out, _ = run_under_alarm(
+        1.0, capsys, "check", str(path), "--format", "json"
+    )
     assert code == EXIT_UNKNOWN
     s2 = json.loads(out)["steps"][1]
     assert s2["details"]["t=-2"] == {"status": "unknown", "reason": "pell-exhausted"}
+
+
+class TestDegreeBoundLimit:
+    """S4 lists about degree_bound^2 classes, so a bound above
+    MAX_DEGREE_BOUND is refused with exit 3 by every command that reads
+    one, before any work; a bound of 10**6 used to run past 20 s."""
+
+    def test_check_document_with_huge_degree_bound(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "gram": [[4, 20], [20, 4]],
+                    "polarization": [1, 0],
+                    "isometry": [[10, 1], [-1, 0]],
+                    "degree_bound": 1000000,
+                }
+            )
+        )
+        code, out, err = run_under_alarm(2.0, capsys, "check", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert f"degree_bound must be at most {MAX_DEGREE_BOUND}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--degree-bound", "1025"),
+            ("check", "--degree-bound", "1000000", "--verify"),
+            ("enumerate", "--bound", "1025"),
+            ("enumerate", "--bound", "1000000"),
+        ],
+    )
+    def test_flag_over_limit_rejected(self, capsys, data_dir, argv):
+        cmd, *flags = argv
+        path = str(data_dir / "gizatullin.json")
+        code, out, err = run_under_alarm(2.0, capsys, cmd, path, *flags)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert f"at most {MAX_DEGREE_BOUND}" in err
+
+    def test_check_at_the_limit_runs(self, capsys, data_dir):
+        path = str(data_dir / "gizatullin.json")
+        code, out, _ = run_cli(capsys, "check", path, "--degree-bound", "1024")
+        # past the paper's bound 16 the datum has classes off Z*h
+        assert code == EXIT_FAIL
+        assert "  S4: fail" in out
+
+
+@pytest.mark.parametrize("d", ["10000000019", "1000000007"])
+def test_pell_past_print_limit_is_refused_in_bounded_time(capsys, d):
+    # the walk used to run past 60 s (d = 10000000019), or for 1.5 s
+    # before str() refused x (d = 1000000007); it now stops once y is
+    # too long to print
+    code, out, err = run_under_alarm(2.0, capsys, "pell", d)
+    assert code == EXIT_ERROR
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert f"x^2 - {d}*y^2 = 1 exceed the {limit}-digit limit" in err
 
 
 @pytest.mark.parametrize("name", BUNDLED)

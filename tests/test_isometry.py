@@ -121,19 +121,31 @@ class TestCharPoly:
         char = char_poly_rank2(sigma)
         assert (char.trace, char.det) == (10, 1)
         root = char.dominant_root
-        assert (root.p, root.q, root.d) == (Fraction(5), Fraction(2), 6)
+        # (p + q*sqrt(d)) / 2 with integers p, q
+        assert (root.p, root.q, root.d) == (10, 4, 6)
         assert str(root) == "5 + 2*sqrt(6)"
 
+    def test_odd_trace_root_prints_halves(self):
+        root = char_poly_rank2(((1, 1), (1, 0))).dominant_root
+        assert (root.p, root.q, root.d) == (1, 1, 5)
+        assert str(root) == "1/2 + 1/2*sqrt(5)"
+
+    def test_str_prints_halves_as_fractions(self):
+        for p, q in itertools.product(range(-9, 10), range(1, 10)):
+            root = QuadraticRoot(p=p, q=q, d=7)
+            assert str(root) == f"{Fraction(p, 2)} + {Fraction(q, 2)}*sqrt(7)"
+
     def test_identity(self):
+        # the double root 1 is rational
         char = char_poly_rank2(identity(2))
         assert (char.trace, char.det) == (2, 1)
         assert char.dominant_root is None
-        assert char.rational_root == 1
 
     def test_swap(self):
+        # the roots 1 and -1 are rational
         char = char_poly_rank2(SWAP)
         assert (char.trace, char.det) == (0, -1)
-        assert char.rational_root == 1
+        assert char.dominant_root is None
 
     def test_content_of_trace_free_part(self):
         # M = t*I + u*N has g = gcd(a - d, b, c) divisible by u, and g^2
@@ -149,7 +161,7 @@ class TestCharPoly:
             disc = char.trace**2 - 4 * char.det
             s, d = _squarefree_split_by_trial_division(disc)
             assert char.dominant_root == QuadraticRoot(
-                p=Fraction(char.trace, 2), q=Fraction(s, 2), d=d
+                p=char.trace, q=s, d=d
             ), m
 
     def test_content_scales_q_only(self, sigma):

@@ -1,7 +1,9 @@
 """Structural checks: the oracles stay independent of the pipeline they
 verify, every function the benchmark tracer wraps exists and is loaded
-by `import latcert.cli`, the CLI's import path stays lean, and
-scripts/reproduce.py keeps its committed output."""
+by `import latcert.cli`, the CLI's import path stays lean, the package
+computes in integers only (no `fractions`), every record type's
+annotations resolve, and scripts/reproduce.py keeps its committed
+output."""
 
 import ast
 import importlib
@@ -9,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import typing
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "latcert"
@@ -42,6 +45,37 @@ def test_certificate_does_not_import_oracle():
     assert "oracle" not in package_imports("certificate")
 
 
+def test_no_module_imports_fractions():
+    # anywhere in the module, a lazy import inside a function included
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "fractions" not in names, path.name
+
+
+def test_every_named_tuple_has_resolvable_annotations():
+    # with `from __future__ import annotations` a name missing from the
+    # module only shows when the hints are evaluated
+    checked = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        mod = importlib.import_module(f"latcert.{path.stem}")
+        for obj in vars(mod).values():
+            if (
+                isinstance(obj, type)
+                and issubclass(obj, tuple)
+                and hasattr(obj, "_fields")
+                and obj.__module__ == mod.__name__
+            ):
+                assert typing.get_type_hints(obj), obj
+                checked += 1
+    assert checked >= 10
+
+
 def traced_table() -> dict:
     """The TRACED table of perfbench/spans.py, read without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
@@ -67,8 +101,8 @@ def test_traced_functions_exist():
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
-    # pulls in decimal and numbers; only an odd-trace dominant root needs
-    # a Fraction, and every `latcert` process would pay to import them.
+    # pulls in decimal and numbers; every `latcert` process would pay to
+    # import them.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [

@@ -1,7 +1,8 @@
 """S2's box scans against the 2-D scans they replaced, kept here as
 references: the box-20 search for a value +-1 in
 `_unimodular_to_leading_one`, the box-50 witness scan at the end of
-`_decide_primitive`, and the set-based congruence filter over the
+`_decide_primitive` (both now one `_first_in_box` scan), and the
+set-based congruence filter over the
 moduli 3, 5, 8 and 16. Verdicts, witnesses and reason codes must be
 identical; the new scans solve one quadratic per scan row instead of
 visiting every point of the box. The Pell-class search is checked
@@ -267,6 +268,25 @@ class TestUnimodularScan:
                 continue
             got = quadform._unimodular_to_leading_one(f, box)
             assert got == ref_unimodular_to_leading_one(f, box), f
+
+
+def ref_first_in_box(f, targets, box):
+    for r in range(-box, box + 1):
+        for s in range(-box, box + 1):
+            if f.evaluate(r, s) in targets:
+                return (r, s)
+    return None
+
+
+class TestFirstInBox:
+    @pytest.mark.parametrize("box", [0, 1, 5, 12])
+    @pytest.mark.parametrize("targets", [(1, -1), (-2,), (4,), (-1, 6)])
+    def test_small_sweep_matches_2d_scan(self, box, targets):
+        for f in set(forms_of(small_sweep())):
+            if quadform._is_square(f.discriminant):
+                continue
+            got = quadform._first_in_box(f, targets, box)
+            assert got == ref_first_in_box(f, targets, box), (f, targets)
 
 
 class TestCongruenceFilter:
