@@ -153,7 +153,7 @@ def check_S2_no_0_minus2(g: GramLattice, search_bound: int) -> StepResult:
     for target in (0, -2):
         rep = quadform.represents_value(g, target, search_bound)
         details[f"t={target}"] = {"status": rep.status, "reason": rep.reason}
-        if rep.is_yes:
+        if rep.status == "yes":
             witnesses.append({"target": target, "vector": rep.witness})
         elif rep.status == "unknown":
             saw_unknown = True
@@ -339,9 +339,9 @@ def check_S5_isometry(
     problems = []
     if not preserves_positive_cone(g, m, h):
         problems.append("isometry does not preserve the positive cone")
-    ord_result = order(m)
-    if not ord_result.is_infinite:
-        problems.append(f"isometry has finite order {ord_result.finite}")
+    finite = order(m)
+    if finite is not None:
+        problems.append(f"isometry has finite order {finite}")
     moves = mat_vec(m, h) != h
     if not moves:
         problems.append("isometry fixes the polarization")

@@ -22,15 +22,14 @@ from .certificate import (
 )
 from .discgroup import discriminant_group
 from .isometry import char_poly_rank2, polarization_orbit, ratio
-from .lattice import GramLattice, LowDegreeClass, norm
-from .matrices import Vector, from_rows
+from .lattice import GramLattice, norm
+from .matrices import from_rows
 from .oracle import (
     DEFAULT_BOX_RADIUS,
     MAX_BOX_RADIUS,
     brute_action_order,
     brute_low_degree,
     brute_values,
-    required_box_radius,
 )
 from .quadform import pell_fundamental
 
@@ -115,20 +114,6 @@ def _int_list(value) -> bool:
     return isinstance(value, list) and all(type(x) is int for x in value)
 
 
-def _low_degree_scan(
-    g: GramLattice, h: Vector, bound: int
-) -> list[LowDegreeClass]:
-    """brute_low_degree on the box it needs, refused when that box is
-    wider than MAX_BOX_RADIUS (the scan visits (2*radius + 1)^2 points)."""
-    radius = required_box_radius(g, h, bound)
-    if radius > MAX_BOX_RADIUS:
-        raise DocumentError(
-            f"degree bound {bound} needs a low-degree box radius of {radius}; "
-            f"the limit is {MAX_BOX_RADIUS}"
-        )
-    return brute_low_degree(g, h, bound, radius)
-
-
 def _run_verify(
     inp: CertificateInput, report: CertificateReport, box_radius: int
 ) -> dict:
@@ -153,7 +138,7 @@ def _run_verify(
     s4 = report.step("S4")
     if s4.status in ("pass", "fail"):
         h, _ = normalize_polarization(inp.polarization)
-        oracle_classes = _low_degree_scan(g, h, inp.degree_bound)
+        oracle_classes = brute_low_degree(g, h, inp.degree_bound)
         pipeline = {tuple(c["coords"]) for c in s4.details["classes"]}
         oracle_set = {c.coords for c in oracle_classes}
         out["low_degree_enumeration"] = {
@@ -305,7 +290,8 @@ def cmd_orbit(args) -> int:
 
 def cmd_enumerate(args) -> int:
     inp, _ = load_document(args.path, args.bound)
-    classes = _low_degree_scan(inp.gram, inp.polarization, inp.degree_bound)
+    h, _ = normalize_polarization(inp.polarization)  # as S4 lists them
+    classes = brute_low_degree(inp.gram, h, inp.degree_bound)
     if args.format == "json":
         print(json.dumps([c._asdict() for c in classes], sort_keys=True))
     else:

@@ -90,10 +90,6 @@ class DiscriminantGroup(NamedTuple):
             result *= f
         return result
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
 
 def discriminant_group(g: GramLattice) -> DiscriminantGroup:
     """Invariant factors and generators of L*/L from the SNF of the

@@ -10,14 +10,11 @@ from .matrices import Matrix, Vector, det, mat_mul, mat_vec, transpose
 
 # Order of an elliptic element of SL(2, Z), keyed by its trace.
 ELLIPTIC_ORDER = {-1: 3, 0: 4, 1: 6}
-
-
-class OrderResult(NamedTuple):
-    finite: Optional[int]  # None means infinite order
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.finite is None
+# _squarefree_split divides by the integers up to this bound only. Its
+# cube exceeds 4*|det G| (at most 4 * 10^12 on the benchmark's Grams),
+# which bounds the factored part of an isometry's discriminant, so those
+# roots are reduced exactly as without a bound.
+TRIAL_DIVISION_BOUND = 2**16
 
 
 def ratio(p: int, q: int) -> str:
@@ -29,8 +26,12 @@ def ratio(p: int, q: int) -> str:
 
 
 class QuadraticRoot(NamedTuple):
-    """Exact value (p + q*sqrt(d)) / 2 with integers p, q and squarefree
-    d > 1."""
+    """Exact value (p + q*sqrt(d)) / 2 with integers p, q and d > 1.
+
+    q^2 * d is the discriminant tr^2 - 4*det of the characteristic
+    polynomial, exactly. d is squarefree when that is below
+    TRIAL_DIVISION_BOUND^3; past it, d may keep the square of a prime
+    above the bound (_squarefree_split)."""
 
     p: int
     q: int
@@ -68,8 +69,9 @@ def preserves_positive_cone(g: GramLattice, m: Matrix, h: Vector) -> bool:
     return inner(g, mat_vec(m, h), h) > 0
 
 
-def order(m: Matrix) -> OrderResult:
-    """Finite order or infinite, for rank 2, from trace and determinant.
+def order(m: Matrix) -> Optional[int]:
+    """The finite order of a rank-2 matrix, or None when it is infinite,
+    from trace and determinant.
 
     det 1: |tr| >= 3 is hyperbolic (infinite); tr -1, 0, 1 is elliptic
     of order 3, 4, 6; tr +-2 is +-I (order 1, 2) or parabolic (infinite).
@@ -81,24 +83,28 @@ def order(m: Matrix) -> OrderResult:
     tr = m[0][0] + m[1][1]
     dt = det(m)
     if dt == 1 and tr in ELLIPTIC_ORDER:
-        return OrderResult(finite=ELLIPTIC_ORDER[tr])
+        return ELLIPTIC_ORDER[tr]
     if dt == 1 and abs(tr) == 2 and m[0][1] == m[1][0] == 0:
-        return OrderResult(finite=1 if tr == 2 else 2)
+        return 1 if tr == 2 else 2
     if dt == -1 and tr == 0:
-        return OrderResult(finite=2)
-    return OrderResult(finite=None)
+        return 2
+    return None
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; returns (s, d). Requires n > 0.
+    """n = s^2 * d; returns (s, d). Requires n > 0.
 
-    Trial division strips each prime k while k^3 <= n. The remainder then
-    has no prime factor below k and is less than k^3, so it is 1, p, p*q
-    or p^2, and only p^2 is not squarefree: isqrt tells it exactly.
+    Trial division strips each prime k while k^3 <= n, up to
+    TRIAL_DIVISION_BOUND. A remainder below k^3 has no prime factor
+    below k, so it is 1, p, p*q or p^2, and only p^2 is not squarefree:
+    isqrt tells it exactly, and d is squarefree. A remainder left at the
+    bound has no prime factor up to it and is kept whole unless it is a
+    perfect square, so d may keep a square factor above the bound
+    squared; in return at most TRIAL_DIVISION_BOUND divisions run.
     """
     s, d = 1, 1
     k = 2
-    while k * k * k <= n:
+    while k <= TRIAL_DIVISION_BOUND and k * k * k <= n:
         while n % (k * k) == 0:
             n //= k * k
             s *= k

@@ -21,7 +21,7 @@ from .matrices import (
 )
 
 DEFAULT_BOX_RADIUS = 50
-# Largest box radius a document or a low-degree scan may use; a full 2-D
+# Largest box radius a document or brute_low_degree may use; a full 2-D
 # scan of that box visits 161,201 points.
 MAX_BOX_RADIUS = 200
 
@@ -117,15 +117,21 @@ def brute_low_degree(
 ) -> list[LowDegreeClass]:
     """Exhaustive box enumeration of classes with 0 < degree < bound and
     positive square. The box radius is validated (or derived) from the
-    exact degree-window analysis, so the scan is provably complete. With
-    G*h = (p, q) the degree of (x, y) is p*x + q*y; the square is
-    evaluated only inside the degree window."""
+    exact degree-window analysis, so the scan is provably complete, and
+    a box wider than MAX_BOX_RADIUS is refused. With G*h = (p, q) the
+    degree of (x, y) is p*x + q*y; the square is evaluated only inside
+    the degree window."""
     needed = required_box_radius(g, h, bound)
     if radius is None:
         radius = needed
     elif radius < needed:
         raise ValueError(
             f"box radius {radius} insufficient; need at least {needed}"
+        )
+    if radius > MAX_BOX_RADIUS:  # the scan visits (2*radius + 1)^2 points
+        raise ValueError(
+            f"degree bound {bound} needs a low-degree box radius of {radius}; "
+            f"the limit is {MAX_BOX_RADIUS}"
         )
     (a, b), (_, c) = g.entries
     p, q = mat_vec(g.entries, h)

@@ -65,14 +65,6 @@ class Representation(NamedTuple):
     witness: Optional[tuple[int, int]] = None
     reason: Optional[str] = None
 
-    @property
-    def is_yes(self) -> bool:
-        return self.status == "yes"
-
-    @property
-    def is_no(self) -> bool:
-        return self.status == "no"
-
 
 def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
@@ -124,7 +116,13 @@ def pell_fundamental(
     continued-fraction expansion of sqrt(d); None when a convergent
     denominator passes y_limit before the solution is reached (its y is
     then larger). The denominators grow at least as fast as Fibonacci
-    numbers, so a limit bounds the walk by O(log y_limit) steps."""
+    numbers, so a limit bounds the walk by O(log y_limit) steps.
+
+    The n-th convergent p_cur / q_cur has
+    p_cur^2 - d*q_cur^2 = (-1)^(n+1) * q, with q the expansion's next
+    denominator (Jacobson & Williams, Solving the Pell Equation, 2009),
+    so the solution is at the first odd n with q = 1, and the walk
+    squares no convergent."""
     if d <= 0:
         raise ValueError("d must be positive")
     a0 = math.isqrt(d)
@@ -133,15 +131,18 @@ def pell_fundamental(
     m, q, a = 0, 1, a0
     p_prev, p_cur = 1, a0
     q_prev, q_cur = 0, 1
-    while p_cur * p_cur - d * q_cur * q_cur != 1:
-        if y_limit is not None and q_cur > y_limit:
-            return None
+    odd = False  # the parity of the index n of p_cur / q_cur
+    while True:
         m = q * a - m
         q = (d - m * m) // q
+        if odd and q == 1:
+            return PellSolution(x=p_cur, y=q_cur, D=d, N=1)
+        if y_limit is not None and q_cur > y_limit:
+            return None
         a = (a0 + m) // q
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return PellSolution(x=p_cur, y=q_cur, D=d, N=1)
+        odd = not odd
 
 
 def _congruence_blocks(f: BinaryForm, t: int) -> bool:
@@ -344,7 +345,7 @@ def represents_value(
     if _congruence_blocks(f, t):
         return Representation(status="no", reason=REASON_CONGRUENCE)
     result = _decide_primitive(f0, t // cont, search_bound)
-    if result.is_yes:
+    if result.status == "yes":
         x, y = result.witness
         assert f.evaluate(x, y) == t
     return result
@@ -362,7 +363,7 @@ def _decide_primitive(
         return _pell_class_search(f0, t0, search_bound)
     if f0.c == 1:
         r = _pell_class_search(BinaryForm(f0.c, f0.b, f0.a), t0, search_bound)
-        if r.is_yes:
+        if r.status == "yes":
             return Representation(status="yes", witness=r.witness[::-1])
         return r
     if f0.a == -1 or f0.c == -1:
@@ -373,7 +374,7 @@ def _decide_primitive(
     if found is not None:
         f1, m = found
         r = _decide_primitive(f1, t0, search_bound)
-        if r.is_yes:
+        if r.status == "yes":
             return Representation(status="yes", witness=mat_vec(m, r.witness))
         return r
     # a direct witness scan before answering "unknown"

@@ -1,4 +1,6 @@
+import contextlib
 import pathlib
+import signal
 
 import pytest
 from hypothesis import strategies as st
@@ -153,3 +155,27 @@ def rebuild(path, valid, **changes):
     if path == "_make":
         return cls._make(fields.values())
     return valid._replace(**changes)
+
+
+# Entries whose discriminants have a prime factor far above
+# isometry.TRIAL_DIVISION_BOUND.
+HANG_CHECK_N = 1000000000000134  # N^2 + 1 is prime
+HANG_ORBIT_T = 100000000000000000089  # T^2 - 8 is prime
+
+
+@contextlib.contextmanager
+def deadline(seconds, what):
+    """Raise TimeoutError in the body once it runs past `seconds`."""
+
+    def alarm(*_):
+        raise TimeoutError(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import signal
 import sys
 import time
 from fractions import Fraction
@@ -30,7 +29,13 @@ from latcert.lattice import GramLattice
 from latcert.matrices import from_rows, mat_mul
 from latcert.oracle import MAX_BOX_RADIUS
 
-from .conftest import mat_pow, nondegenerate_lattices
+from .conftest import (
+    HANG_CHECK_N,
+    HANG_ORBIT_T,
+    deadline,
+    mat_pow,
+    nondegenerate_lattices,
+)
 
 BUNDLED = (
     "gizatullin.json",
@@ -376,19 +381,8 @@ def test_square_discriminant_with_huge_coefficient_is_fast(capsys, tmp_path):
 
 def run_under_alarm(seconds, capsys, *argv):
     """run_cli, with a TimeoutError if it runs past `seconds`."""
-
-    def alarm(*_):
-        raise TimeoutError(f"{' '.join(argv)} ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, alarm)
-    try:
-        signal.setitimer(signal.ITIMER_REAL, seconds)
-        try:
-            return run_cli(capsys, *argv)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+    with deadline(seconds, " ".join(argv)):
+        return run_cli(capsys, *argv)
 
 
 def test_eighteen_digit_entry_answers_within_a_second(capsys, tmp_path):
@@ -406,6 +400,43 @@ def test_eighteen_digit_entry_answers_within_a_second(capsys, tmp_path):
     assert code == EXIT_UNKNOWN
     s2 = json.loads(out)["steps"][1]
     assert s2["details"]["t=-2"] == {"status": "unknown", "reason": "pell-exhausted"}
+
+
+class TestFactoringBound:
+    """Discriminants with a prime factor far above the trial-division
+    bound: S5 and orbit trial-divided them for minutes."""
+
+    def test_check_passes(self, capsys, tmp_path):
+        n = HANG_CHECK_N
+        d = n * n + 1
+        a = 2 * n * n + 1
+        path = tmp_path / "doc.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "gram": [[4, 0], [0, -4 * d]],
+                    "polarization": [1, 0],
+                    "isometry": [[a, 2 * d * n], [2 * n, a]],
+                }
+            )
+        )
+        code, out, _ = run_under_alarm(2.0, capsys, "check", str(path))
+        assert code == EXIT_PASS
+        assert f"  dominant_root={a} + {2 * n}*sqrt({d})" in out.splitlines()
+
+    def test_orbit_exits_zero(self, capsys, data_dir, tmp_path):
+        t = HANG_ORBIT_T
+        doc = json.loads((data_dir / "gizatullin.json").read_text())
+        doc["isometry"] = [[t, 1], [-2, 0]]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_under_alarm(
+            2.0, capsys, "orbit", str(path), "--k-max", "1"
+        )
+        assert code == EXIT_PASS
+        assert out.splitlines()[-1] == (
+            f"dominant root: {t}/2 + 1/2*sqrt({t * t - 8})"
+        )
 
 
 class TestDegreeBoundLimit:
@@ -596,6 +627,21 @@ class TestOtherSubcommands:
         assert code == EXIT_PASS
         doc = json.loads(out)
         assert [c["coords"] for c in doc] == [[1, 0], [2, 0], [3, 0]]
+
+    def test_enumerate_lists_what_s4_lists(self, capsys, data_dir, tmp_path):
+        # S4 scans the sign-normalized polarization; so does enumerate
+        doc = json.loads((data_dir / "gizatullin.json").read_text())
+        doc["polarization"] = [-1, 0]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "enumerate", str(path), "--format", "json")
+        assert code == EXIT_PASS
+        listed = json.loads(out)
+        code, out, _ = run_cli(capsys, "check", str(path), "--format", "json")
+        assert code == EXIT_PASS
+        s4 = json.loads(out)["steps"][3]
+        assert listed == s4["details"]["classes"]
+        assert [c["coords"] for c in listed] == [[1, 0], [2, 0], [3, 0]]
 
 
 class TestExitCodeContract:

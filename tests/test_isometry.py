@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from latcert.isometry import (
     QuadraticRoot,
+    TRIAL_DIVISION_BOUND,
     _squarefree_split,
     char_poly_rank2,
     is_isometry,
@@ -17,7 +19,15 @@ from latcert.isometry import (
 from latcert.lattice import GramLattice, inner, norm
 from latcert.matrices import mat_mul, mat_vec
 
-from .conftest import identity, mat_pow, small_vectors, unimodular_inverse
+from .conftest import (
+    HANG_CHECK_N,
+    HANG_ORBIT_T,
+    deadline,
+    identity,
+    mat_pow,
+    small_vectors,
+    unimodular_inverse,
+)
 
 NEG_I = ((-1, 0), (0, -1))
 SWAP = ((0, 1), (1, 0))
@@ -86,21 +96,20 @@ class TestPositiveCone:
 
 class TestOrder:
     def test_identity(self):
-        assert order(identity(2)).finite == 1
+        assert order(identity(2)) == 1
 
     def test_negation(self):
-        assert order(NEG_I).finite == 2
+        assert order(NEG_I) == 2
 
     def test_sigma_infinite(self, sigma):
-        result = order(sigma)
-        assert result.is_infinite
+        assert order(sigma) is None
         assert mat_pow(sigma, 12) != identity(2)
 
     def test_rotation_order_four(self):
-        assert order(((0, -1), (1, 0))).finite == 4
+        assert order(((0, -1), (1, 0))) == 4
 
     def test_order_six(self):
-        assert order(((1, -1), (1, 0))).finite == 6
+        assert order(((1, -1), (1, 0))) == 6
 
     def test_matches_power_loop(self):
         # every finite-order element of GL(2, Z) has order dividing 12
@@ -113,7 +122,7 @@ class TestOrder:
                     expected = k
                     break
                 power = mat_mul(power, m)
-            assert order(m).finite == expected, m
+            assert order(m) == expected, m
 
 
 class TestCharPoly:
@@ -185,6 +194,37 @@ def _squarefree_split_by_trial_division(n):
     return s, d * n
 
 
+class TestFactoringBound:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            (
+                (2 * HANG_CHECK_N**2 + 1, 2 * (HANG_CHECK_N**2 + 1) * HANG_CHECK_N),
+                (2 * HANG_CHECK_N, 2 * HANG_CHECK_N**2 + 1),
+            ),
+            ((HANG_ORBIT_T, 1), (-2, 0)),
+        ],
+    )
+    def test_prime_discriminant_part_in_bounded_time(self, m):
+        with deadline(2.0, "char_poly_rank2"):
+            char = char_poly_rank2(m)
+        root = char.dominant_root
+        assert root.p == char.trace
+        assert root.q**2 * root.d == char.trace**2 - 4 * char.det
+
+    def test_root_identity_past_the_bound(self):
+        rng = random.Random(15)
+        for _ in range(25):
+            m = tuple(
+                tuple(rng.randint(-(10**30), 10**30) for _ in range(2))
+                for _ in range(2)
+            )
+            root = char_poly_rank2(m).dominant_root
+            tr, dt = m[0][0] + m[1][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]
+            if root is not None:
+                assert root.q**2 * root.d == tr * tr - 4 * dt, m
+
+
 class TestSquarefreeSplit:
     def test_matches_full_trial_division(self):
         for n in range(1, 20001):
@@ -193,12 +233,24 @@ class TestSquarefreeSplit:
 
     def test_cube_root_edge_cases(self):
         # the remainder after stripping primes below its cube root
-        p, q = 999_983, 1_000_003
+        p, q = 65_519, 65_521  # the two largest primes below the bound
+        assert q < TRIAL_DIVISION_BOUND
         assert _squarefree_split(p * p) == (p, 1)
         assert _squarefree_split(p * q) == (1, p * q)
         assert _squarefree_split(p * p * q) == (p, q)
         assert _squarefree_split(4 * p * p) == (2 * p, 1)
         assert _squarefree_split(6 * q * q) == (q, 6)
+
+    def test_primes_above_the_bound(self):
+        # a remainder with no prime factor up to the bound is kept whole
+        # unless it is a perfect square, so p^2 stays inside d here
+        p, q = 999_983, 1_000_003
+        assert _squarefree_split(p * p) == (p, 1)
+        assert _squarefree_split(p * q) == (1, p * q)
+        assert _squarefree_split(p * p * q) == (1, p * p * q)
+        assert _squarefree_split(4 * p * p) == (2 * p, 1)
+        assert _squarefree_split(6 * q * q) == (q, 6)
+        assert _squarefree_split(4 * p * p * q) == (2, p * p * q)
 
 
 class TestPolarizationOrbit:

@@ -17,6 +17,7 @@ from latcert.quadform import (
     to_binary_form,
 )
 from latcert.oracle import (
+    MAX_BOX_RADIUS,
     brute_action_order,
     brute_low_degree,
     brute_pell,
@@ -101,6 +102,22 @@ class TestBruteLowDegree:
         needed = required_box_radius(paper_lattice, (1, 0), 16)
         with pytest.raises(ValueError, match="insufficient"):
             brute_low_degree(paper_lattice, (1, 0), 16, radius=needed - 1)
+
+    def test_box_wider_than_limit_refused(self, paper_lattice):
+        assert required_box_radius(paper_lattice, (1, 0), 400) == 206
+        with pytest.raises(ValueError) as refused:
+            brute_low_degree(paper_lattice, (1, 0), 400)
+        assert str(refused.value) == (
+            "degree bound 400 needs a low-degree box radius of 206; "
+            f"the limit is {MAX_BOX_RADIUS}"
+        )
+        with pytest.raises(ValueError, match="the limit is"):
+            brute_low_degree(paper_lattice, (1, 0), 16, MAX_BOX_RADIUS + 1)
+
+    def test_box_at_limit_runs(self, paper_lattice):
+        assert required_box_radius(paper_lattice, (1, 0), 16) < MAX_BOX_RADIUS
+        classes = brute_low_degree(paper_lattice, (1, 0), 16, MAX_BOX_RADIUS)
+        assert classes == brute_low_degree(paper_lattice, (1, 0), 16)
 
 
 def random_grams(seed, count, indefinite=False):

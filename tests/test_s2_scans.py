@@ -113,7 +113,7 @@ def ref_decide_primitive(f0, t0, search_bound):
         return ref_pell_class_search(f0, t0, search_bound)
     if f0.c == 1:
         r = ref_pell_class_search(BinaryForm(f0.c, f0.b, f0.a), t0, search_bound)
-        if r.is_yes:
+        if r.status == "yes":
             return Representation(status="yes", witness=r.witness[::-1])
         return r
     if f0.a == -1 or f0.c == -1:
@@ -123,7 +123,7 @@ def ref_decide_primitive(f0, t0, search_bound):
     if found is not None:
         f1, m = found
         r = ref_decide_primitive(f1, t0, search_bound)
-        if r.is_yes:
+        if r.status == "yes":
             u, v = r.witness
             x = m[0][0] * u + m[0][1] * v
             y = m[1][0] * u + m[1][1] * v
@@ -356,7 +356,7 @@ class TestRepresentsValue:
                 continue
             got = represents_value(g, t)
             assert got == ref_represents_value(g, t), (rows, t)
-            assert got.is_yes
+            assert got.status == "yes"
 
     def test_census_window_matches_reference_within_root_budget(
         self, monkeypatch
