@@ -30,12 +30,13 @@ from .lattice import (
     determinant,
     inner,
     is_even,
+    is_integer_array,
     is_primitive,
     multiple_of,
     norm,
     signature,
 )
-from .matrices import Matrix, Vector, mat_vec
+from .matrices import Matrix, Vector, from_rows, mat_vec
 
 FORMAT_VERSION = "1"
 DEFAULT_DEGREE_BOUND = 16
@@ -76,6 +77,13 @@ class CertificateInput(_InputFields):
     def __new__(cls, *args, **kwargs):  # every command's input rules
         self = super().__new__(cls, *args, **kwargs)
         h, m = self.polarization, self.isometry
+        if not is_integer_array(h, 1):
+            raise ValueError("field polarization must be an integer array")
+        if m is not None and not is_integer_array(m, 2):
+            raise ValueError("field isometry must be a 2D integer array")
+        for key in ("degree_bound", "search_bound"):
+            if not is_integer_array(getattr(self, key), 0):
+                raise ValueError(f"field {key} must be a positive integer")
         if len(h) != 2:
             raise ValueError("field polarization must have 2 entries")
         if not (h[0] or h[1]):
@@ -88,7 +96,8 @@ class CertificateInput(_InputFields):
             raise ValueError(f"degree_bound must be at most {MAX_DEGREE_BOUND}")
         if self.search_bound < 1:
             raise ValueError("search_bound must be >= 1")
-        return self
+        m = None if m is None else from_rows(m)  # lists are stored as tuples
+        return super().__new__(cls, self.gram, tuple(h), m, *self[3:])
 
 
 class _StepFields(NamedTuple):
@@ -351,9 +360,8 @@ def check_S5_isometry(
             "S5", "fail", citation, witness="; ".join(problems), details=details
         )
     n = action_order(action)
-    if n is None:
-        details["disc_action_order"] = None
-        return StepResult("S5", "unknown", citation, details=details)
+    if n is None:  # an automorphism of a finite group G has order <= |G|
+        raise RuntimeError("induced action on L*/L has no order <= |L*/L|")
     details["disc_action_order"] = n
     details["isometry"] = [list(row) for row in m]
     return StepResult("S5", "pass", citation, details=details)

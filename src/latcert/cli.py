@@ -38,14 +38,7 @@ EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
-_DOCUMENT_FIELDS = {
-    "gram",
-    "polarization",
-    "isometry",
-    "degree_bound",
-    "search_bound",
-    "box_radius",
-}
+_DOCUMENT_FIELDS = {*CertificateInput._fields, "box_radius"}
 
 
 class DocumentError(ValueError):
@@ -54,8 +47,9 @@ class DocumentError(ValueError):
 
 def load_document(path: str, degree_bound: Optional[int] = None):
     """(CertificateInput, box_radius) of a document, with the JSON checks
-    only: CertificateInput owns the field rules and defaults. A degree
-    bound given on the command line overrides the document's."""
+    only: GramLattice and CertificateInput own the field rules, integer
+    entries included, and the defaults. A degree bound given on the
+    command line overrides the document's."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -74,44 +68,24 @@ def load_document(path: str, degree_bound: Optional[int] = None):
         raise DocumentError("missing required field: gram")
     if "polarization" not in raw:
         raise DocumentError("missing required field: polarization")
-    _require_int_matrix(raw["gram"], "gram")
-    gram = GramLattice.from_rows(raw["gram"])  # a bad gram is reported first
-    _require_int_vector(raw["polarization"], "polarization")
-    isometry = raw.get("isometry")
-    if isometry is not None:
-        _require_int_matrix(isometry, "isometry")
-        isometry = from_rows(isometry)
-    for key in ("degree_bound", "search_bound", "box_radius"):
-        if type(raw.get(key, 1)) is not int:  # refuses JSON true and false
-            raise DocumentError(f"field {key} must be a positive integer")
+    bounds = {k: raw[k] for k in ("degree_bound", "search_bound") if k in raw}
+    if degree_bound is not None:
+        bounds["degree_bound"] = degree_bound
+    try:
+        gram = GramLattice(raw["gram"])  # a bad gram is reported first
+        isometry = raw.get("isometry")
+        inp = CertificateInput(gram, raw["polarization"], isometry, **bounds)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
     box_radius = raw.get("box_radius", DEFAULT_BOX_RADIUS)
-    if box_radius < 1:
+    if type(box_radius) is not int or box_radius < 1:  # refuses true and false
         raise DocumentError("field box_radius must be a positive integer")
     if box_radius > MAX_BOX_RADIUS:
         raise DocumentError(
             f"field box_radius must be at most {MAX_BOX_RADIUS}; the --verify "
             "value scan visits (2*box_radius + 1)^2 points"
         )
-    bounds = {k: raw[k] for k in ("degree_bound", "search_bound") if k in raw}
-    if degree_bound is not None:
-        bounds["degree_bound"] = degree_bound
-    h = tuple(raw["polarization"])
-    return CertificateInput(gram, h, isometry, **bounds), box_radius
-
-
-def _require_int_matrix(value, name: str) -> None:
-    if not (isinstance(value, list) and value and all(map(_int_list, value))):
-        raise DocumentError(f"field {name} must be a 2D integer array")
-
-
-def _require_int_vector(value, name: str) -> None:
-    if not (value and _int_list(value)):
-        raise DocumentError(f"field {name} must be an integer array")
-
-
-def _int_list(value) -> bool:
-    """A JSON array of integers only (true and false are not integers)."""
-    return isinstance(value, list) and all(type(x) is int for x in value)
+    return inp, box_radius
 
 
 def _run_verify(

@@ -26,6 +26,16 @@ class LowDegreeClass(NamedTuple):
     multiple_of_h: Optional[int]
 
 
+def is_integer_array(value, depth: int) -> bool:
+    """The integer rule of every input: an int at depth 0, else a tuple
+    or list of depth - 1 arrays; bool, float and str are never coerced."""
+    if depth == 0:
+        return type(value) is int
+    return isinstance(value, (tuple, list)) and all(
+        is_integer_array(x, depth - 1) for x in value
+    )
+
+
 class _GramEntries(NamedTuple):
     entries: Matrix
 
@@ -33,15 +43,16 @@ class _GramEntries(NamedTuple):
 class GramLattice(_GramEntries):
     """An integer symmetric bilinear form of rank 2 on a fixed basis.
 
-    Immutable; the 2x2 shape, symmetry and nondegeneracy are enforced on
-    every construction path so downstream code can assume them.
-    """
+    Immutable; int entries (stored as tuples), the 2x2 shape, symmetry
+    and nondegeneracy are enforced on every construction path."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __new__(cls, entries):
+        if not is_integer_array(entries, 2):
+            raise ValueError("field gram must be a 2D integer array")
+        self = super().__new__(cls, from_rows(entries))
         n = len(self.entries)
         if n != 2:
             raise ValueError(f"gram matrix must be 2x2 (rank 2), got rank {n}")
@@ -56,7 +67,7 @@ class GramLattice(_GramEntries):
 
     @classmethod
     def from_rows(cls, rows) -> "GramLattice":
-        return cls(from_rows(rows))
+        return cls(rows)
 
     @property
     def rank(self) -> int:

@@ -9,7 +9,10 @@ Vector = tuple[int, ...]
 
 
 def from_rows(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    try:
+        return tuple(tuple(row) for row in rows)
+    except TypeError:
+        raise ValueError("a matrix must be a sequence of rows") from None
 
 
 def transpose(m: Matrix) -> Matrix:

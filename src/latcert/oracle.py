@@ -160,18 +160,6 @@ def brute_low_degree(
     return out
 
 
-def brute_pell(d: int, y_max: int) -> Optional[tuple[int, int]]:
-    """Smallest (x, y) with y in 1..y_max and x^2 - d*y^2 = 1, if any."""
-    if d <= 0 or math.isqrt(d) ** 2 == d:
-        raise ValueError("d must be a positive nonsquare")
-    for y in range(1, y_max + 1):
-        rhs = d * y * y + 1
-        x = math.isqrt(rhs)
-        if x * x == rhs:
-            return x, y
-    return None
-
-
 def brute_action_order(g: GramLattice, m: Matrix) -> Optional[int]:
     """Least n <= |det G| with m^n acting trivially on L*/L, i.e. with
     m^n adj(G) = adj(G) mod |det G|, because L* = adj(G) Z^r / det G.

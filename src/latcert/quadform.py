@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .lattice import GramLattice, determinant
-from .matrices import Matrix, from_rows, mat_vec
+from .matrices import Matrix, mat_vec
 
 DEFAULT_MODULI = (3, 5, 16)
 # S2's default budget: the largest y the Pell-class search scans.
@@ -302,7 +302,7 @@ def _unimodular_to_leading_one(
     a2 = f.evaluate(r, s)
     b2 = 2 * a * r * p + b * (r * q + s * p) + 2 * c * s * q
     c2 = f.evaluate(p, q)
-    return BinaryForm(a2, b2, c2), from_rows([[r, p], [s, q]])
+    return BinaryForm(a2, b2, c2), ((r, p), (s, q))
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -399,10 +399,4 @@ def automorph_generator(f: BinaryForm) -> Matrix:
             t = math.isqrt(rhs)
             break
         u += 1
-    m = from_rows(
-        [
-            [(t - f.b * u) // 2, -f.c * u],
-            [f.a * u, (t + f.b * u) // 2],
-        ]
-    )
-    return m
+    return ((t - f.b * u) // 2, -f.c * u), (f.a * u, (t + f.b * u) // 2)

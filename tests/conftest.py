@@ -1,4 +1,5 @@
 import contextlib
+import math
 import pathlib
 import signal
 
@@ -99,6 +100,18 @@ def mat_pow(m, k):
         base = mat_mul(base, base)
         k >>= 1
     return result
+
+
+def brute_pell(d, y_max):
+    """Smallest (x, y) with y in 1..y_max and x^2 - d*y^2 = 1, if any."""
+    if d <= 0 or math.isqrt(d) ** 2 == d:
+        raise ValueError("d must be a positive nonsquare")
+    for y in range(1, y_max + 1):
+        rhs = d * y * y + 1
+        x = math.isqrt(rhs)
+        if x * x == rhs:
+            return x, y
+    return None
 
 
 def unimodular_inverse(m):

@@ -16,12 +16,11 @@ from latcert.matrices import det, from_rows, mat_mul, mat_vec, transpose
 from latcert.oracle import (
     brute_action_order,
     brute_low_degree,
-    brute_pell,
     brute_values,
 )
 from latcert.quadform import pell_fundamental, represents_value
 
-from .conftest import PAPER_GRAM, PAPER_SIGMA, mat_pow
+from .conftest import PAPER_GRAM, PAPER_SIGMA, brute_pell, mat_pow
 from .test_discgroup import assert_valid_snf
 
 BUNDLED_LATTICES = {

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -20,7 +21,7 @@ from latcert.certificate import (
     report_document,
     run_certificate,
 )
-from latcert import cli, quadform
+from latcert import certificate, cli, quadform
 from latcert.discgroup import discriminant_group
 from latcert.lattice import GramLattice, inner, norm
 from latcert.matrices import from_rows
@@ -34,6 +35,11 @@ from .conftest import (
     rebuild,
     unimodular_inverse,
 )
+
+
+GOLDEN_REPORTS = DATA_DIR.parent / "tests" / "golden" / "reports.jsonl"
+POLARIZATION_TYPE = "field polarization must be an integer array"
+ISOMETRY_TYPE = "field isometry must be a 2D integer array"
 
 
 class TestS1:
@@ -200,6 +206,35 @@ class TestS5:
         assert 6 * q * q == p * p - 1
         assert details["dominant_root"] == f"{p} + {q}*sqrt(6)"
 
+    def test_never_unknown_on_golden_inputs(self):
+        # induced_action gives an automorphism of L*/L, and an automorphism
+        # of a finite group G != 1 has order below |G| (Horosevskii, 1974),
+        # so action_order always finds n. Census pairs whose golden report
+        # skips S5 are left out: for some of them the unbudgeted automorph
+        # search runs for seconds.
+        statuses = []
+        for line in GOLDEN_REPORTS.read_text().splitlines():
+            entry = json.loads(line)
+            doc = entry["input"]
+            if entry["report"]["steps"][4]["status"] == "skipped":
+                continue
+            g = GramLattice(doc["gram"])
+            inp = CertificateInput(g, doc["polarization"], doc.get("isometry"))
+            result = check_S5_isometry(g, inp.polarization, inp.isometry)
+            assert result.status in ("pass", "fail"), doc
+            if result.status == "pass":
+                n = result.details["disc_action_order"]
+                group = discriminant_group(g).order
+                assert type(n) is int and 1 <= n and (n < group or group == 1)
+            statuses.append((entry["family"], result.status))
+        assert statuses.count(("sigma^k", "pass")) == 64
+        assert statuses.count(("census", "pass")) == 186
+
+    def test_no_order_is_an_invariant_error(self, monkeypatch, paper_lattice, sigma):
+        monkeypatch.setattr(certificate, "action_order", lambda action: None)
+        with pytest.raises(RuntimeError, match="no order"):
+            check_S5_isometry(paper_lattice, (1, 0), sigma)
+
     def test_isometry_search_when_absent(self, paper_lattice):
         result = check_S5_isometry(paper_lattice, (1, 0), None)
         assert result.status == "pass"
@@ -348,6 +383,17 @@ class TestRunCertificate:
             ({"isometry": identity(3)}, "isometry must be a 2x2 matrix"),
             ({"search_bound": 0}, "search_bound must be >= 1"),
             ({"search_bound": -5}, "search_bound must be >= 1"),
+            # int() truncated these, or S3 and S5 died with TypeError
+            ({"polarization": (1.0, 0)}, POLARIZATION_TYPE),
+            ({"polarization": ("1", 0)}, POLARIZATION_TYPE),
+            ({"polarization": 5}, POLARIZATION_TYPE),
+            ({"isometry": ((10.0, 1), (-1, 0))}, ISOMETRY_TYPE),
+            ({"isometry": ((10, 1), 5)}, ISOMETRY_TYPE),
+            ({"isometry": 5}, ISOMETRY_TYPE),
+            # True ran as bound 1
+            ({"degree_bound": True}, "field degree_bound must be a positive integer"),
+            ({"degree_bound": 16.0}, "field degree_bound must be a positive integer"),
+            ({"search_bound": "1000"}, "field search_bound must be a positive integer"),
         ],
     )
     def test_every_construction_path_validates_input(
@@ -356,6 +402,12 @@ class TestRunCertificate:
         valid = CertificateInput(gram=paper_lattice, polarization=(1, 0))
         with pytest.raises(ValueError, match=message):
             rebuild(path, valid, **change)
+
+    def test_lists_are_stored_as_tuples(self, paper_lattice, sigma):
+        # S5 compares the tuple M*h with h, which a list h never equals
+        inp = CertificateInput(paper_lattice, [1, 0], [[10, 1], [-1, 0]])
+        assert inp == CertificateInput(paper_lattice, (1, 0), sigma)
+        assert type(inp.polarization) is tuple and type(inp.isometry[0]) is tuple
 
     def test_degree_bound_limit_itself_is_accepted(self, paper_lattice):
         # S4 lists about degree_bound^2 classes; the limit keeps that bounded

@@ -15,7 +15,7 @@ from latcert.lattice import (
     norm,
     signature,
 )
-from latcert.matrices import mat_mul, transpose
+from latcert.matrices import from_rows, mat_mul, transpose
 
 from .conftest import (
     CONSTRUCTION_PATHS,
@@ -53,6 +53,41 @@ class TestConstruction:
         g = rebuild(path, paper_lattice, entries=((2, 1), (1, -2)))
         assert type(g) is GramLattice
         assert g.entries == ((2, 1), (1, -2))
+
+    @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[4.9, 20], [20, 4]],  # int() made this the paper Gram
+            [["4", 20], [20, 4]],  # int() parsed the string
+            [[True, 20], [20, 4]],
+            [[4, 20], 5],
+            5,
+            None,
+        ],
+    )
+    def test_every_construction_path_refuses_non_integers(
+        self, paper_lattice, path, entries
+    ):
+        with pytest.raises(ValueError) as err:
+            rebuild(path, paper_lattice, entries=entries)
+        assert str(err.value) == "field gram must be a 2D integer array"
+
+    def test_from_rows_refuses_non_integers_with_the_cli_message(self):
+        for rows in ([[4.9, 20], [20, 4]], [["4", 20], [20, 4]]):
+            with pytest.raises(ValueError, match="gram must be a 2D integer"):
+                GramLattice.from_rows(rows)
+
+    def test_lists_are_stored_as_tuples(self, paper_lattice):
+        g = GramLattice([[4, 20], [20, 4]])
+        assert g == paper_lattice and g.entries == ((4, 20), (20, 4))
+        assert hash(g) == hash(paper_lattice)
+
+    def test_from_rows_neither_coerces_nor_raises_type_error(self):
+        assert from_rows([[4.9, "4"], [True, 2]]) == ((4.9, "4"), (True, 2))
+        for rows in (5, [[1, 2], 3]):
+            with pytest.raises(ValueError, match="sequence of rows"):
+                from_rows(rows)
 
     def test_immutable(self, paper_lattice):
         with pytest.raises(AttributeError):

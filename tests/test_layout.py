@@ -2,8 +2,8 @@
 verify, every function the benchmark tracer wraps exists and is loaded
 by `import latcert.cli`, the CLI's import path stays lean, the package
 computes in integers only (no `fractions`), every record type's
-annotations resolve, and scripts/reproduce.py keeps its committed
-output."""
+annotations resolve, scripts/reproduce.py keeps its committed output,
+and every loop has an entry in the loop ledger."""
 
 import ast
 import importlib
@@ -165,3 +165,163 @@ def test_reproduce_output_matches_golden():
         if not line.startswith("  timing S")
     ]
     assert lines == GOLDEN.read_text().splitlines()
+
+
+# Every loop in src/latcert -- each `for`, `while` and comprehension --
+# keyed by (module, function, kind, ordinal). The function is the
+# innermost enclosing def, dotted under its class or outer def; the
+# ordinal counts the loops of that kind in that function in source
+# order, so a key does not move with line numbers. Each entry bounds the
+# trip count in one of three ways:
+#   ("bits", why)       polynomially in the bit size of the input
+#   ("constant", why)   by a fixed count
+#   ("budget", name)    by a CertificateInput field or a module constant
+# A new or edited loop fails test_every_loop_is_in_the_ledger until it
+# is entered here or in UNBOUNDED.
+LOOP_LEDGER = {
+    ("certificate", "CertificateInput.__new__", "for", 1): ("constant", "2 bounds"),
+    ("certificate", "CertificateReport.step", "for", 1): ("constant", "5 steps"),
+    ("certificate", "check_S2_no_0_minus2", "for", 1): ("constant", "t = 0, -2"),
+    ("certificate", "normalize_polarization", "for", 1): ("constant", "2 entries"),
+    ("certificate", "normalize_polarization", "genexp", 1): ("constant", "2 entries"),
+    # (bound - 1) // gcd(G*h) degree lines
+    ("certificate", "enumerate_low_degree", "for", 1): ("budget", "degree_bound"),
+    # about bound^2 / (norm(h) * sqrt|det G|) classes in all, plus 3 per line
+    ("certificate", "enumerate_low_degree", "for", 2): ("budget", "degree_bound"),
+    ("certificate", "check_S4_low_degree", "listcomp", 1): ("budget", "degree_bound"),
+    ("certificate", "check_S4_low_degree", "for", 1): ("budget", "degree_bound"),
+    ("certificate", "check_S4_low_degree", "dictcomp", 1): ("constant", "3 keys"),
+    ("certificate", "check_S5_isometry", "listcomp", 1): ("constant", "2 rows"),
+    ("certificate", "run_certificate", "for", 1): ("constant", "5 steps"),
+    ("certificate", "report_document", "listcomp", 1): ("constant", "5 steps"),
+    ("cli", "load_document", "dictcomp", 1): ("constant", "2 bounds"),
+    ("cli", "_run_verify", "dictcomp", 1): ("constant", "t = 0, -2"),
+    ("cli", "_run_verify", "genexp", 1): ("constant", "<= 2 S2 witnesses"),
+    ("cli", "_run_verify", "dictcomp", 2): ("constant", "t = 0, -2"),
+    ("cli", "_run_verify", "setcomp", 1): ("budget", "degree_bound"),
+    ("cli", "_run_verify", "setcomp", 2): ("budget", "oracle.MAX_BOX_RADIUS"),
+    ("cli", "_emit", "for", 1): ("constant", "5 steps"),
+    ("cli", "_emit", "for", 2): ("constant", "<= 3 verify checks"),
+    ("cli", "_emit", "for", 3): ("constant", "<= 5 timings"),
+    ("cli", "cmd_check", "genexp", 1): ("constant", "<= 3 verify checks"),
+    ("cli", "cmd_disc", "listcomp", 1): ("constant", "<= 2 generators"),
+    ("cli", "cmd_disc", "listcomp", 2): ("constant", "2 coordinates"),
+    ("cli", "cmd_disc", "for", 1): ("constant", "<= 2 generators"),
+    ("cli", "cmd_enumerate", "listcomp", 1): ("budget", "oracle.MAX_BOX_RADIUS"),
+    ("cli", "cmd_enumerate", "for", 1): ("budget", "oracle.MAX_BOX_RADIUS"),
+    # each pass that does not break makes the pivot a proper divisor of itself
+    ("discgroup", "smith_normal_form", "while", 1): ("bits", "log2 of the entries"),
+    ("discgroup", "smith_normal_form", "genexp", 1): ("constant", "4 entries"),
+    ("discgroup", "smith_normal_form", "while", 2): ("bits", "Euclid's steps"),
+    ("discgroup", "DiscriminantGroup.order", "for", 1): ("constant", "<= 2 factors"),
+    ("discgroup", "DiscAction._reduced", "genexp", 1): ("constant", "<= 2 rows"),
+    ("discgroup", "DiscAction._reduced", "genexp", 2): ("constant", "<= 2 entries"),
+    ("discgroup", "induced_action", "for", 1): ("constant", "<= 2 generators"),
+    ("discgroup", "induced_action", "for", 2): ("constant", "<= 2 generators"),
+    ("isometry", "is_isometry", "genexp", 1): ("constant", "2 rows"),
+    ("isometry", "_squarefree_split", "while", 1): (
+        "budget",
+        "isometry.TRIAL_DIVISION_BOUND",
+    ),
+    ("isometry", "_squarefree_split", "while", 2): ("bits", "one pass per k^2 | n"),
+    ("lattice", "is_integer_array", "genexp", 1): ("bits", "one pass over the input"),
+    ("lattice", "is_primitive", "genexp", 1): ("constant", "2 entries"),
+    ("matrices", "from_rows", "genexp", 1): ("bits", "one pass over the input"),
+    ("oracle", "brute_values", "for", 1): ("bits", "one pass per target given"),
+    ("oracle", "brute_values", "for", 2): ("budget", "oracle.MAX_BOX_RADIUS"),
+    ("oracle", "brute_values", "for", 3): ("budget", "oracle.MAX_BOX_RADIUS"),
+    ("oracle", "brute_values", "for", 4): ("budget", "oracle.MAX_BOX_RADIUS"),
+    ("oracle", "_first_y", "listcomp", 1): ("constant", "2 roots"),
+    ("oracle", "_first_y", "genexp", 1): ("constant", "<= 2 roots"),
+    ("oracle", "required_box_radius", "genexp", 1): ("constant", "2 coordinates"),
+    ("oracle", "brute_low_degree", "for", 1): ("budget", "oracle.MAX_BOX_RADIUS"),
+    ("oracle", "brute_low_degree", "for", 2): ("budget", "oracle.MAX_BOX_RADIUS"),
+    ("oracle", "brute_action_order.reduce", "genexp", 1): ("constant", "2 rows"),
+    ("oracle", "brute_action_order.reduce", "genexp", 2): ("constant", "2 entries"),
+    ("quadform", "_congruence_blocks", "genexp", 1): (
+        "budget",
+        "quadform.DEFAULT_MODULI",
+    ),
+    ("quadform", "_attains_mod", "for", 1): ("budget", "quadform.DEFAULT_MODULI"),
+    ("quadform", "_attains_mod", "for", 2): ("budget", "quadform.DEFAULT_MODULI"),
+    ("quadform", "_pell_class_search", "for", 1): ("budget", "search_bound"),
+    ("quadform", "_pell_class_search", "for", 2): ("constant", "u, -u"),
+    ("quadform", "_int_roots", "setcomp", 1): ("constant", "2 roots"),
+    ("quadform", "_first_in_box", "for", 1): ("constant", "box <= 50"),
+    ("quadform", "_first_in_box", "for", 2): ("constant", "<= 2 targets"),
+    ("quadform", "_first_in_box", "listcomp", 1): ("constant", "<= 2 roots"),
+    ("quadform", "_extended_gcd", "while", 1): ("bits", "Euclid's steps"),
+}
+
+# Loops whose trip count grows with the value of an integer, not with
+# its bit size. This list may only shrink: a change that bounds one of
+# these loops moves its key to LOOP_LEDGER.
+UNBOUNDED = {
+    # u counts up to the automorph's u, a number of about sqrt(D) bits:
+    # `check` on [[4, 0], [0, -244]] runs past 10 s here
+    ("quadform", "automorph_generator", "while", 1): "u up to the unit's u",
+    # returns below |L*/L| (an automorphism of a finite group G != 1 has
+    # order < |G|), a value
+    ("discgroup", "action_order", "for", 1): "n <= |det G|",
+    ("oracle", "brute_action_order", "for", 1): "n <= |det G|",
+    # with y_limit=None, the whole period of sqrt(d), up to about sqrt(d)
+    ("quadform", "pell_fundamental", "while", 1): "period of sqrt(d)",
+    # trial division up to sqrt|t|; S2 asks only |t| <= 2
+    ("quadform", "_signed_divisors", "for", 1): "sqrt|t|",
+    ("quadform", "_signed_divisors", "listcomp", 1): "divisors of t",
+    ("quadform", "_divisor_search", "for", 1): "divisors of t",
+    # the orbit has k_max + 1 entries of about k * log10(trace) digits each
+    ("isometry", "polarization_orbit", "for", 1): "k_max",
+    ("cli", "cmd_orbit", "genexp", 1): "k_max",
+    ("cli", "cmd_orbit", "listcomp", 1): "k_max",
+    ("cli", "cmd_orbit", "listcomp", 2): "k_max",
+}
+
+LOOP_KINDS = {
+    ast.For: "for",
+    ast.While: "while",
+    ast.ListComp: "listcomp",
+    ast.SetComp: "setcomp",
+    ast.DictComp: "dictcomp",
+    ast.GeneratorExp: "genexp",
+}
+
+
+def package_loops() -> list[tuple[str, str, str, int]]:
+    """The ledger key of every loop in src/latcert."""
+    keys = []
+
+    def walk(node, module, scope, counts):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, module, scope + (child.name,), {})
+                continue
+            kind = LOOP_KINDS.get(type(child))
+            if kind:
+                function = ".".join(scope)
+                counts[function, kind] = counts.get((function, kind), 0) + 1
+                keys.append((module, function, kind, counts[function, kind]))
+            walk(child, module, scope, counts)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, (), {})
+    return keys
+
+
+def test_every_loop_is_in_the_ledger():
+    found = package_loops()
+    assert len(found) == len(set(found))
+    assert not LOOP_LEDGER.keys() & UNBOUNDED.keys()
+    assert sorted(set(found) - LOOP_LEDGER.keys() - UNBOUNDED.keys()) == []
+    assert sorted(LOOP_LEDGER.keys() - set(found)) == []
+    assert sorted(UNBOUNDED.keys() - set(found)) == []
+
+
+def test_every_budget_names_an_input_field_or_a_module_constant():
+    certificate = importlib.import_module("latcert.certificate")
+    for key, (bound, why) in LOOP_LEDGER.items():
+        assert bound in ("bits", "constant", "budget"), key
+        if bound == "budget" and why not in certificate.CertificateInput._fields:
+            module, name = why.split(".")
+            assert name.isupper(), key
+            assert hasattr(importlib.import_module(f"latcert.{module}"), name), key

@@ -20,12 +20,11 @@ from latcert.oracle import (
     MAX_BOX_RADIUS,
     brute_action_order,
     brute_low_degree,
-    brute_pell,
     brute_values,
     required_box_radius,
 )
 
-from .conftest import identity, mat_pow
+from .conftest import brute_pell, identity, mat_pow
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 

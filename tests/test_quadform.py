@@ -19,10 +19,11 @@ from latcert.quadform import (
     represents_zero_nontrivially,
     to_binary_form,
 )
-from latcert.oracle import brute_pell, brute_values
+from latcert.oracle import brute_values
 
 from .conftest import (
     CONSTRUCTION_PATHS,
+    brute_pell,
     even_indefinite_rank2_strategy,
     rebuild,
 )
