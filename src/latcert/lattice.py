@@ -31,9 +31,12 @@ def is_integer_array(value, depth: int) -> bool:
     or list of depth - 1 arrays; bool, float and str are never coerced."""
     if depth == 0:
         return type(value) is int
-    return isinstance(value, (tuple, list)) and all(
-        is_integer_array(x, depth - 1) for x in value
-    )
+    if not isinstance(value, (tuple, list)):
+        return False
+    for x in value:  # a plain loop: all() over a generator costs a call
+        if not is_integer_array(x, depth - 1):
+            return False
+    return True
 
 
 class _GramEntries(NamedTuple):

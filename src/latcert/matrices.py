@@ -10,7 +10,7 @@ Vector = tuple[int, ...]
 
 def from_rows(rows) -> Matrix:
     try:
-        return tuple(tuple(row) for row in rows)
+        return tuple(map(tuple, rows))
     except TypeError:
         raise ValueError("a matrix must be a sequence of rows") from None
 

@@ -224,9 +224,8 @@ LOOP_LEDGER = {
         "isometry.TRIAL_DIVISION_BOUND",
     ),
     ("isometry", "_squarefree_split", "while", 2): ("bits", "one pass per k^2 | n"),
-    ("lattice", "is_integer_array", "genexp", 1): ("bits", "one pass over the input"),
+    ("lattice", "is_integer_array", "for", 1): ("bits", "one pass over the input"),
     ("lattice", "is_primitive", "genexp", 1): ("constant", "2 entries"),
-    ("matrices", "from_rows", "genexp", 1): ("bits", "one pass over the input"),
     ("oracle", "brute_values", "for", 1): ("bits", "one pass per target given"),
     ("oracle", "brute_values", "for", 2): ("budget", "oracle.MAX_BOX_RADIUS"),
     ("oracle", "brute_values", "for", 3): ("budget", "oracle.MAX_BOX_RADIUS"),
