@@ -171,30 +171,21 @@ def cmd_check(args) -> int:
     ]
 
 
-def _print_limit() -> Optional[int]:
-    """The least integer too long for str(); None when there is no limit."""
-    digits = sys.get_int_max_str_digits()
-    return 10**digits if digits else None
-
-
-def _check_printable(largest: Optional[int], what: str, hint: str = "") -> None:
-    """Refuse, before anything is formatted, output whose largest integer
-    is too long to print; None stands for one known to be past the limit."""
-    limit = _print_limit()
-    if limit and (largest is None or largest >= limit):
-        raise ValueError(
-            f"{what} exceed the {sys.get_int_max_str_digits()}-digit limit "
-            f"for printing an integer{hint}"
-        )
+def _print_limit() -> int:
+    """The most digits str() prints of an integer: the interpreter's
+    limit, or its default when that limit is off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 def cmd_pell(args) -> int:
+    digits = _print_limit()
     # The walk stops once y is too long to print; x > y is checked too.
-    sol = pell_fundamental(args.d, _print_limit())
-    _check_printable(
-        None if sol is None else sol.x,
-        f"the entries of the least solution of x^2 - {args.d}*y^2 = 1",
-    )
+    sol = pell_fundamental(args.d, 10**digits)
+    if sol is None or sol.x >= 10**digits:
+        raise ValueError(
+            f"the entries of the least solution of x^2 - {args.d}*y^2 = 1 "
+            f"exceed the {digits}-digit limit for printing an integer"
+        )
     if args.format == "json":
         print(json.dumps({"D": sol.D, "x": sol.x, "y": sol.y}, sort_keys=True))
     else:
@@ -229,14 +220,14 @@ def cmd_orbit(args) -> int:
     m = inp.isometry
     if m is None:
         raise DocumentError("orbit requires an isometry in the document")
-    orbit = polarization_orbit(inp.gram, m, inp.polarization, args.k_max)
+    digits = _print_limit()
+    orbit = polarization_orbit(inp.gram, m, inp.polarization, args.k_max, 10**digits)
+    if orbit is None:
+        raise ValueError(
+            f"orbit entries up to --k-max {args.k_max} exceed the {digits}-digit "
+            "limit for printing an integer; lower --k-max"
+        )
     char = char_poly_rank2(m)
-    # Refused before formatting, which took seconds to reach the limit.
-    _check_printable(
-        max(abs(x) for _, v, d in orbit for x in (*v, d)),
-        f"orbit entries up to --k-max {args.k_max}",
-        "; lower --k-max",
-    )
     # The whole output is formatted before any of it is printed.
     if args.format == "json":
         text = json.dumps(

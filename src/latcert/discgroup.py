@@ -116,26 +116,11 @@ def discriminant_group(g: GramLattice) -> DiscriminantGroup:
 
 class DiscAction(NamedTuple):
     """Action of an isometry on the discriminant group, as an integer
-    matrix in generator coordinates; row i is taken modulo factors[i]."""
+    matrix in generator coordinates; row i is taken modulo factors[i],
+    which tuple equality does not do."""
 
     matrix: Matrix
     factors: tuple[int, ...]
-
-    def _reduced(self) -> Matrix:
-        return tuple(
-            tuple(x % d for x in row)
-            for row, d in zip(self.matrix, self.factors)
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiscAction):
-            return NotImplemented
-        return self.factors == other.factors and self._reduced() == other._reduced()
-
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple inequality
-
-    def __hash__(self):
-        return hash((self.factors, self._reduced()))
 
 
 def induced_action(g: GramLattice, m: Matrix) -> DiscAction:

@@ -139,15 +139,20 @@ def char_poly_rank2(m: Matrix) -> CharData:
 
 
 def polarization_orbit(
-    g: GramLattice, m: Matrix, h: Vector, k_max: int
-) -> list[tuple[int, Vector, int]]:
-    """Orbit segment [(k, M^k h, inner(M^k h, h)) for k = 0..k_max]."""
+    g: GramLattice, m: Matrix, h: Vector, k_max: int, limit: int
+) -> Optional[list[tuple[int, Vector, int]]]:
+    """Orbit segment [(k, M^k h, inner(M^k h, h)) for k = 0..k_max];
+    None as soon as a coordinate or degree reaches limit in absolute
+    value, so the walk keeps no entry past it."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     out = []
     v = h
     for k in range(k_max + 1):
-        out.append((k, v, inner(g, v, h)))
+        d = inner(g, v, h)
+        if max(abs(v[0]), abs(v[1]), abs(d)) >= limit:
+            return None
+        out.append((k, v, d))
         v = mat_vec(m, v)
     return out
 

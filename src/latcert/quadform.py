@@ -109,14 +109,12 @@ def zero_witness(f: BinaryForm) -> tuple[int, int]:
     return (x // g, y // g)
 
 
-def pell_fundamental(
-    d: int, y_limit: Optional[int] = None
-) -> Optional[PellSolution]:
+def pell_fundamental(d: int, y_limit: int) -> Optional[PellSolution]:
     """Minimal positive solution of x^2 - d*y^2 = 1, via the periodic
     continued-fraction expansion of sqrt(d); None when a convergent
     denominator passes y_limit before the solution is reached (its y is
     then larger). The denominators grow at least as fast as Fibonacci
-    numbers, so a limit bounds the walk by O(log y_limit) steps.
+    numbers, so the walk takes O(log y_limit) steps.
 
     The n-th convergent p_cur / q_cur has
     p_cur^2 - d*q_cur^2 = (-1)^(n+1) * q, with q the expansion's next
@@ -137,7 +135,7 @@ def pell_fundamental(
         q = (d - m * m) // q
         if odd and q == 1:
             return PellSolution(x=p_cur, y=q_cur, D=d, N=1)
-        if y_limit is not None and q_cur > y_limit:
+        if q_cur > y_limit:
             return None
         a = (a0 + m) // q
         p_prev, p_cur = p_cur, a * p_cur + p_prev
@@ -177,7 +175,8 @@ def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
     therefore has L1(x, y) = d1 for a divisor d1 of t, and d1 fixes the
     solution through a 2x2 linear system. Complete for t != 0, with
     trial division only up to sqrt(|t|). The divisors are tried by
-    increasing |d1|, positive first.
+    increasing |d1|, positive first, and found only as they are tried,
+    so trial division stops at the first witness.
     """
     a, b, c = f.a, f.b, f.c
     if a == 0:
@@ -206,13 +205,19 @@ def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
 
 
 def _signed_divisors(n: int):
+    """The divisors of n != 0 by increasing |d|, each positive first,
+    found by trial division only as far as the caller reads them."""
     n = abs(n)
-    divs = []
+    large = []  # the cofactors n // d above sqrt(n), descending
     for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
-            divs.extend((d, n // d))
-    out = sorted(set(divs))
-    return [s * d for d in out for s in (1, -1)]
+            yield d
+            yield -d
+            if d * d != n:
+                large.append(n // d)
+    for d in reversed(large):
+        yield d
+        yield -d
 
 
 def _pell_class_search(

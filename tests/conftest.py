@@ -126,8 +126,16 @@ def identity_action(factors):
     return DiscAction(matrix=identity(len(factors)), factors=factors)
 
 
+def reduced(action):
+    """The action's matrix with row i reduced modulo factors[i]: two
+    actions on one group are the same map iff these are equal."""
+    return tuple(
+        tuple(x % d for x in row) for row, d in zip(action.matrix, action.factors)
+    )
+
+
 def is_identity(action):
-    return action == identity_action(action.factors)
+    return reduced(action) == reduced(identity_action(action.factors))
 
 
 def compose(a, b):

@@ -120,7 +120,7 @@ def test_criterion_5_discriminant_machinery():
 
 def test_criterion_6_pell_kernel():
     start = time.perf_counter()
-    sol24 = pell_fundamental(24)
+    sol24 = pell_fundamental(24, 10)
     assert (sol24.x, sol24.y) == (5, 1)
     for d in range(2, 61):
         if math.isqrt(d) ** 2 == d:
@@ -128,7 +128,7 @@ def test_criterion_6_pell_kernel():
         oracle = brute_pell(d, 10**4)
         if oracle is None:
             continue
-        sol = pell_fundamental(d)
+        sol = pell_fundamental(d, 10**4)
         assert (sol.x, sol.y) == oracle, f"D={d}"
     _report(6, "Pell kernel agrees with brute force for D <= 60", start, limit=5.0)
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -36,6 +39,8 @@ from .conftest import (
     mat_pow,
     nondegenerate_lattices,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 BUNDLED = (
     "gizatullin.json",
@@ -496,6 +501,63 @@ def test_pell_past_print_limit_is_refused_in_bounded_time(capsys, d):
     assert out == ""
     limit = sys.get_int_max_str_digits()
     assert f"x^2 - {d}*y^2 = 1 exceed the {limit}-digit limit" in err
+
+
+def run_child(code, env_changes=(), timeout=60):
+    """python -c code with src/ on the path and the int-to-str limit at
+    the interpreter's default unless env_changes sets it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    env.update(env_changes)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+
+
+def test_orbit_past_print_limit_keeps_no_entry_past_it(data_dir):
+    # the walk used to keep all 20,001 entries, about k digits each,
+    # before refusing them: 272 MB of peak RSS. The child reports its
+    # VmHWM, not ru_maxrss, which Linux carries over exec from the
+    # forking process (this test process).
+    path = str(data_dir / "gizatullin.json")
+    proc = run_child(
+        "import sys\n"
+        "from latcert.cli import main\n"
+        f"code = main(['orbit', {path!r}, '--k-max', '20000'])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(status.split('VmHWM:')[1].split()[0])\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == EXIT_ERROR
+    limit = sys.int_info.default_max_str_digits
+    assert proc.stderr == (
+        f"error: orbit entries up to --k-max 20000 exceed the {limit}-digit "
+        "limit for printing an integer; lower --k-max\n"
+    )
+    assert int(proc.stdout) < 60 * 1024  # in kB
+
+
+def test_pell_with_the_print_limit_off_uses_its_default():
+    # with PYTHONINTMAXSTRDIGITS=0 the walk used to run the whole period
+    # of sqrt(d) and print 127,822 characters
+    off = {"PYTHONINTMAXSTRDIGITS": "0"}
+    proc = run_child(
+        "from latcert.cli import main; raise SystemExit(main(['pell', '10000000019']))",
+        off,
+        timeout=2,
+    )
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stdout == ""
+    limit = sys.int_info.default_max_str_digits
+    assert f"exceed the {limit}-digit limit" in proc.stderr
+    proc = run_child(
+        "from latcert.cli import main; raise SystemExit(main(['pell', '24']))", off
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_PASS, "(5, 1)\n")
 
 
 @pytest.mark.parametrize("name", BUNDLED)

@@ -19,6 +19,7 @@ from .conftest import (
     identity_action,
     is_identity,
     nondegenerate_lattices,
+    reduced,
     unimodular_inverse,
 )
 
@@ -132,9 +133,11 @@ class TestInducedAction:
         swap = ((0, 1), (1, 0))
         for a, b in [(sigma, sigma), (sigma, swap), (swap, unimodular_inverse(sigma))]:
             composed = induced_action(paper_lattice, mat_mul(a, b))
-            assert composed == compose(
+            product = compose(
                 induced_action(paper_lattice, a), induced_action(paper_lattice, b)
             )
+            assert composed.factors == product.factors
+            assert reduced(composed) == reduced(product)
 
 
 class TestActionOrder:

@@ -255,17 +255,25 @@ class TestSquarefreeSplit:
 
 class TestPolarizationOrbit:
     def test_paper_orbit_segment(self, paper_lattice, sigma):
-        orbit = polarization_orbit(paper_lattice, sigma, (1, 0), 2)
+        orbit = polarization_orbit(paper_lattice, sigma, (1, 0), 2, 10**9)
         assert orbit[0] == (0, (1, 0), 4)
         assert orbit[1] == (1, (10, -1), 20)
         assert orbit[2] == (2, (99, -10), 196)
 
     def test_degree_growth(self, paper_lattice, sigma):
-        orbit = polarization_orbit(paper_lattice, sigma, (1, 0), 10)
+        orbit = polarization_orbit(paper_lattice, sigma, (1, 0), 10, 10**30)
         degrees = [d for _, _, d in orbit]
         assert degrees == sorted(degrees)
         assert len(set(degrees)) == len(degrees)
 
+    def test_stops_at_the_first_entry_that_reaches_the_limit(self, paper_lattice, sigma):
+        assert len(polarization_orbit(paper_lattice, sigma, (1, 0), 2, 197)) == 3
+        assert polarization_orbit(paper_lattice, sigma, (1, 0), 2, 196) is None
+        # -sigma sends h to (-10, 1) of degree -20: absolute values count
+        minus = ((-10, -1), (1, 0))
+        assert len(polarization_orbit(paper_lattice, minus, (1, 0), 1, 21)) == 2
+        assert polarization_orbit(paper_lattice, minus, (1, 0), 1, 20) is None
+
     def test_rejects_bad_k_max(self, paper_lattice, sigma):
         with pytest.raises(ValueError):
-            polarization_orbit(paper_lattice, sigma, (1, 0), 0)
+            polarization_orbit(paper_lattice, sigma, (1, 0), 0, 10**9)

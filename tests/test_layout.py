@@ -214,8 +214,6 @@ LOOP_LEDGER = {
     ("discgroup", "smith_normal_form", "genexp", 1): ("constant", "4 entries"),
     ("discgroup", "smith_normal_form", "while", 2): ("bits", "Euclid's steps"),
     ("discgroup", "DiscriminantGroup.order", "for", 1): ("constant", "<= 2 factors"),
-    ("discgroup", "DiscAction._reduced", "genexp", 1): ("constant", "<= 2 rows"),
-    ("discgroup", "DiscAction._reduced", "genexp", 2): ("constant", "<= 2 entries"),
     ("discgroup", "induced_action", "for", 1): ("constant", "<= 2 generators"),
     ("discgroup", "induced_action", "for", 2): ("constant", "<= 2 generators"),
     ("isometry", "is_isometry", "genexp", 1): ("constant", "2 rows"),
@@ -250,6 +248,8 @@ LOOP_LEDGER = {
     ("quadform", "_first_in_box", "for", 2): ("constant", "<= 2 targets"),
     ("quadform", "_first_in_box", "listcomp", 1): ("constant", "<= 2 roots"),
     ("quadform", "_extended_gcd", "while", 1): ("bits", "Euclid's steps"),
+    # the denominators grow at least like Fibonacci numbers up to y_limit
+    ("quadform", "pell_fundamental", "while", 1): ("bits", "log of y_limit"),
 }
 
 # Loops whose trip count grows with the value of an integer, not with
@@ -263,15 +263,14 @@ UNBOUNDED = {
     # order < |G|), a value
     ("discgroup", "action_order", "for", 1): "n <= |det G|",
     ("oracle", "brute_action_order", "for", 1): "n <= |det G|",
-    # with y_limit=None, the whole period of sqrt(d), up to about sqrt(d)
-    ("quadform", "pell_fundamental", "while", 1): "period of sqrt(d)",
-    # trial division up to sqrt|t|; S2 asks only |t| <= 2
+    # trial division up to sqrt|t|, stopped at the first witness; S2
+    # asks only |t| <= 2
     ("quadform", "_signed_divisors", "for", 1): "sqrt|t|",
-    ("quadform", "_signed_divisors", "listcomp", 1): "divisors of t",
+    ("quadform", "_signed_divisors", "for", 2): "sqrt|t|",
     ("quadform", "_divisor_search", "for", 1): "divisors of t",
-    # the orbit has k_max + 1 entries of about k * log10(trace) digits each
+    # stops at the print limit only when the entries grow: a matrix of
+    # finite order or a parabolic one runs all k_max + 1 steps
     ("isometry", "polarization_orbit", "for", 1): "k_max",
-    ("cli", "cmd_orbit", "genexp", 1): "k_max",
     ("cli", "cmd_orbit", "listcomp", 1): "k_max",
     ("cli", "cmd_orbit", "listcomp", 2): "k_max",
 }

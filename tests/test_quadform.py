@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from latcert.quadform import (
     REASON_NONSQUARE_DISC,
     BinaryForm,
     PellSolution,
+    _signed_divisors,
     automorph_generator,
     content,
     pell_fundamental,
@@ -24,6 +26,7 @@ from latcert.oracle import brute_values
 from .conftest import (
     CONSTRUCTION_PATHS,
     brute_pell,
+    deadline,
     even_indefinite_rank2_strategy,
     rebuild,
 )
@@ -79,35 +82,35 @@ class TestZeroRepresentation:
 class TestPellFundamental:
     @pytest.mark.parametrize("d,expected", [(24, (5, 1)), (2, (3, 2)), (3, (2, 1))])
     def test_small_cases(self, d, expected):
-        sol = pell_fundamental(d)
+        sol = pell_fundamental(d, 10)
         assert (sol.x, sol.y) == expected
 
     def test_rejects_square(self):
         with pytest.raises(ValueError):
-            pell_fundamental(25)
+            pell_fundamental(25, 10)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            pell_fundamental(0)
+            pell_fundamental(0, 10)
 
     def test_large_fundamental_solution(self):
-        sol = pell_fundamental(61)
+        sol = pell_fundamental(61, 10**9)
         assert sol.x * sol.x - 61 * sol.y * sol.y == 1
         assert sol.y == 226153980
 
     @pytest.mark.parametrize("d", [d for d in range(2, 40) if int(d**0.5) ** 2 != d])
     def test_minimality_against_oracle(self, d):
-        sol = pell_fundamental(d)
+        sol = pell_fundamental(d, 10**4)  # y = 1820 at d = 29 is the largest
         oracle = brute_pell(d, sol.y)
         assert oracle == (sol.x, sol.y)
 
     def test_equals_squaring_loop_at_every_limit(self):
-        # the same unit, or None, at limits y - 1, y, y + 1 and none
+        # the same unit, or None, at limits y - 1, y, y + 1 and 2*y
         for d in range(2, 3000):
             if math.isqrt(d) ** 2 == d:
                 continue
             x, y = pell_by_squaring(d)
-            assert pell_fundamental(d) == (x, y, d, 1), d
+            assert pell_fundamental(d, 2 * y) == (x, y, d, 1), d
             for limit in (y - 1, y, y + 1):
                 sol = pell_fundamental(d, limit)
                 expected = pell_by_squaring(d, limit)
@@ -144,14 +147,14 @@ class TestPellSolution:
         assert sol == PellSolution(x=49, y=10, D=24, N=1)
 
     def test_immutable(self):
-        sol = pell_fundamental(24)
+        sol = pell_fundamental(24, 10)
         with pytest.raises(AttributeError):
             sol.x = 7
         with pytest.raises(AttributeError):
             sol.note = "no instance dict"
 
     def test_equals_plain_tuple_of_fields(self):
-        assert pell_fundamental(24) == (5, 1, 24, 1)
+        assert pell_fundamental(24, 10) == (5, 1, 24, 1)
 
 
 class TestRepresentsValue:
@@ -197,6 +200,23 @@ class TestRepresentsValue:
                     assert rep.status == "no" and t not in attained
             checked += 1
         assert checked > 200
+
+    def test_signed_divisors_by_increasing_size(self):
+        # the divisors come lazily, in the order of the sorted list
+        rng = random.Random(1709)
+        for n in [*range(1, 3001), *(rng.randint(1, 10**9) for _ in range(20))]:
+            divisors = sorted(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+            divisors = sorted({*divisors, *(n // d for d in divisors)})
+            expected = [s * d for d in divisors for s in (1, -1)]
+            assert list(_signed_divisors(n)) == list(_signed_divisors(-n)) == expected
+
+    def test_square_discriminant_stops_at_the_first_divisor(self):
+        # 2*(x + y)*(x + 2*y) = 2*p: d1 = 1 gives the witness, and trial
+        # division up to sqrt(p) used to take 0.5 s
+        g = GramLattice.from_rows([[2, 3], [3, 4]])
+        with deadline(0.1, "the divisor search"):
+            rep = represents_value(g, 2 * (10**14 + 31))
+        assert rep.witness == (-100000000000029, 100000000000030)
 
     @given(even_indefinite_rank2_strategy(), st.integers(-20, 20))
     @settings(max_examples=250, deadline=None)

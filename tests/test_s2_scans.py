@@ -85,7 +85,9 @@ def ref_first_witnesses(f0, box):
 def ref_pell_class_search(f, t, search_bound):
     disc = f.discriminant
     n = 4 * t
-    fund = quadform.pell_fundamental(disc)
+    # 10^4300 is far above the unit of any discriminant used here
+    fund = quadform.pell_fundamental(disc, 10**4300)
+    assert fund is not None
     bound_sq = (fund.y * fund.y * abs(n)) // (2 * (fund.x - 1))
     y_bound = math.isqrt(bound_sq) + 1
     for y in range(min(y_bound, search_bound) + 1):
@@ -325,7 +327,7 @@ class TestPellClassSearch:
 
     def test_walk_stops_past_the_limit(self):
         # 1766319049^2 - 61 * 226153980^2 = 1 is the least solution
-        for limit in (226153980, 10**12, None):
+        for limit in (226153980, 10**12, 10**4300):
             assert quadform.pell_fundamental(61, limit) == (
                 1766319049, 226153980, 61, 1
             )
