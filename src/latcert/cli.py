@@ -55,7 +55,7 @@ def load_document(path: str, degree_bound: Optional[int] = None):
             raw = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read input document: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting
         raise DocumentError(f"malformed JSON in input document: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("input document must be a JSON object")
@@ -81,10 +81,7 @@ def load_document(path: str, degree_bound: Optional[int] = None):
     if type(box_radius) is not int or box_radius < 1:  # refuses true and false
         raise DocumentError("field box_radius must be a positive integer")
     if box_radius > MAX_BOX_RADIUS:
-        raise DocumentError(
-            f"field box_radius must be at most {MAX_BOX_RADIUS}; the --verify "
-            "value scan visits (2*box_radius + 1)^2 points"
-        )
+        raise DocumentError(f"field box_radius must be at most {MAX_BOX_RADIUS}")
     return inp, box_radius
 
 
@@ -312,8 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        return EXIT_PASS if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     except (DocumentError, ValueError) as exc:

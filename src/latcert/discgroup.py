@@ -11,12 +11,11 @@ from .matrices import Matrix, mat_mul
 
 
 class SmithDecomposition(NamedTuple):
-    """U * M * V = D for a 2x2 M, with U, V unimodular and
-    D = diag(d1, d2), d1 | d2."""
+    """U * M * V = D for a 2x2 M, with U unimodular, D = diag(d1, d2),
+    d1 | d2, and some unimodular V that is not kept."""
 
     U: Matrix
     D: Matrix
-    V: Matrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -35,7 +34,6 @@ def smith_normal_form(m) -> SmithDecomposition:
     except (TypeError, ValueError):
         raise ValueError("smith_normal_form takes a 2x2 matrix") from None
     u00, u01, u10, u11 = 1, 0, 0, 1
-    v00, v01, v10, v11 = 1, 0, 0, 1
     while a or b or c or d:
         entries = (a, b, c, d)
         p = min((i for i in range(4) if entries[i]), key=lambda i: abs(entries[i]))
@@ -44,7 +42,6 @@ def smith_normal_form(m) -> SmithDecomposition:
             u00, u01, u10, u11 = u10, u11, u00, u01
         if p % 2:  # swap the columns
             a, b, c, d = b, a, d, c
-            v00, v01, v10, v11 = v01, v00, v11, v10
         while b or c:
             if c:  # row 1 -= q * row 0
                 q = c // a
@@ -54,10 +51,9 @@ def smith_normal_form(m) -> SmithDecomposition:
                     u00, u01, u10, u11 = u10, u11, u00, u01
             if b:  # column 1 -= q * column 0
                 q = b // a
-                b, d, v01, v11 = b - q * a, d - q * c, v01 - q * v00, v11 - q * v10
+                b, d = b - q * a, d - q * c
                 if b:
                     a, b, c, d = b, a, d, c
-                    v00, v01, v10, v11 = v01, v00, v11, v10
         if d % a == 0:
             break
         b, u00, u01 = d, u00 + u10, u01 + u11  # row 0 += row 1, with c = 0
@@ -65,9 +61,7 @@ def smith_normal_form(m) -> SmithDecomposition:
         a, u00, u01 = -a, -u00, -u01
     if d < 0:
         d, u10, u11 = -d, -u10, -u11
-    return SmithDecomposition(
-        U=((u00, u01), (u10, u11)), D=((a, b), (c, d)), V=((v00, v01), (v10, v11))
-    )
+    return SmithDecomposition(U=((u00, u01), (u10, u11)), D=((a, b), (c, d)))
 
 
 class DiscriminantGroup(NamedTuple):

@@ -15,6 +15,10 @@ ELLIPTIC_ORDER = {-1: 3, 0: 4, 1: 6}
 # which bounds the factored part of an isometry's discriminant, so those
 # roots are reduced exactly as without a bound.
 TRIAL_DIVISION_BOUND = 2**16
+# Longest orbit segment polarization_orbit walks. Growing entries reach
+# the print limit long before it; entries that do not grow (an isometry
+# of finite order, or a parabolic one) are kept, about 0.3 KB each.
+MAX_K_MAX = 100_000
 
 
 def ratio(p: int, q: int) -> str:
@@ -144,8 +148,8 @@ def polarization_orbit(
     """Orbit segment [(k, M^k h, inner(M^k h, h)) for k = 0..k_max];
     None as soon as a coordinate or degree reaches limit in absolute
     value, so the walk keeps no entry past it."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not 1 <= k_max <= MAX_K_MAX:
+        raise ValueError(f"k_max must be between 1 and {MAX_K_MAX}")
     out = []
     v = h
     for k in range(k_max + 1):

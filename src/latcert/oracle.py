@@ -21,42 +21,30 @@ from .matrices import (
 )
 
 DEFAULT_BOX_RADIUS = 50
-# Largest box radius a document or brute_low_degree may use; a full 2-D
-# scan of that box visits 161,201 points.
+# Largest box radius a document or brute_low_degree may use; the
+# low-degree scan of that box visits 161,201 points.
 MAX_BOX_RADIUS = 200
 
 
 def brute_values(
-    g: GramLattice, radius: int, targets: Optional[tuple[int, ...]] = None
+    g: GramLattice, radius: int, targets: tuple[int, ...]
 ) -> dict[int, Vector]:
-    """All norms attained on the box [-radius, radius]^2, with one
-    witness each; the zero vector is excluded so the t = 0 entry means a
-    nontrivial zero. The witness of a norm is the first vector that
-    attains it in lexicographic order, so it lies in a row x <= 0.
-
-    Without targets the scan evaluates a*x^2 + 2b*x*y + c*y^2 on every
-    point, O(radius^2). With targets only those norms are kept, each
-    found by solving the rows -radius..0 for y: O(radius) per target."""
+    """The target norms attained on the box [-radius, radius]^2, with
+    one witness each; the zero vector is excluded so the t = 0 entry
+    means a nontrivial zero. The witness of a norm is the first vector
+    that attains it in lexicographic order, so it lies in a row x <= 0.
+    Each target is found by solving the rows -radius..0 for y:
+    O(radius) per target."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     (a, b), (_, c) = g.entries
     out: dict[int, Vector] = {}
-    if targets is not None:
-        for t in set(targets):
-            for x in range(-radius, 1):
-                y = _first_y(a, b, c, x, t, radius)
-                if y is not None:
-                    out[t] = (x, y)
-                    break
-        return dict(sorted(out.items(), key=lambda item: item[1]))  # scan order
-    box = range(-radius, radius + 1)
-    for x in box:
-        ax2 = a * x * x
-        bx2 = 2 * b * x
-        for y in box:
-            t = ax2 + y * (bx2 + c * y)
-            if t not in out and (x or y):
+    for t in set(targets):
+        for x in range(-radius, 1):
+            y = _first_y(a, b, c, x, t, radius)
+            if y is not None:
                 out[t] = (x, y)
+                break
     return out
 
 
@@ -112,22 +100,14 @@ def required_box_radius(g: GramLattice, h: Vector, bound: int) -> int:
     return radius + 1
 
 
-def brute_low_degree(
-    g: GramLattice, h: Vector, bound: int, radius: Optional[int] = None
-) -> list[LowDegreeClass]:
+def brute_low_degree(g: GramLattice, h: Vector, bound: int) -> list[LowDegreeClass]:
     """Exhaustive box enumeration of classes with 0 < degree < bound and
-    positive square. The box radius is validated (or derived) from the
-    exact degree-window analysis, so the scan is provably complete, and
-    a box wider than MAX_BOX_RADIUS is refused. With G*h = (p, q) the
-    degree of (x, y) is p*x + q*y; the square is evaluated only inside
-    the degree window."""
-    needed = required_box_radius(g, h, bound)
-    if radius is None:
-        radius = needed
-    elif radius < needed:
-        raise ValueError(
-            f"box radius {radius} insufficient; need at least {needed}"
-        )
+    positive square. The box radius is derived from the exact
+    degree-window analysis, so the scan is provably complete, and a box
+    wider than MAX_BOX_RADIUS is refused. With G*h = (p, q) the degree
+    of (x, y) is p*x + q*y; the square is evaluated only inside the
+    degree window."""
+    radius = required_box_radius(g, h, bound)
     if radius > MAX_BOX_RADIUS:  # the scan visits (2*radius + 1)^2 points
         raise ValueError(
             f"degree bound {bound} needs a low-degree box radius of {radius}; "

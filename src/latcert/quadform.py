@@ -44,7 +44,6 @@ class _PellFields(NamedTuple):
     x: int
     y: int
     D: int
-    N: int
 
 
 class PellSolution(_PellFields):
@@ -53,8 +52,8 @@ class PellSolution(_PellFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.x * self.x - self.D * self.y * self.y != self.N:
-            raise ValueError("not a solution of x^2 - D*y^2 = N")
+        if self.x * self.x - self.D * self.y * self.y != 1:
+            raise ValueError("not a solution of x^2 - D*y^2 = 1")
         return self
 
 
@@ -134,7 +133,7 @@ def pell_fundamental(d: int, y_limit: int) -> Optional[PellSolution]:
         m = q * a - m
         q = (d - m * m) // q
         if odd and q == 1:
-            return PellSolution(x=p_cur, y=q_cur, D=d, N=1)
+            return PellSolution(x=p_cur, y=q_cur, D=d)
         if q_cur > y_limit:
             return None
         a = (a0 + m) // q

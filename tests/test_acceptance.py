@@ -60,7 +60,7 @@ def test_criterion_2_no_0_or_minus2():
     rep2 = represents_value(g, -2)
     assert rep0.status == "no" and rep0.reason == "nonsquare-discriminant"
     assert rep2.status == "no" and rep2.reason == "content-divisibility"
-    values = brute_values(g, 50)
+    values = brute_values(g, 50, (0, -2))
     assert 0 not in values and -2 not in values
     _report(2, "represents neither 0 nor -2", start, limit=1.0)
 
@@ -209,7 +209,7 @@ def test_criterion_8_property_suites():
     # oracle/decision agreement on every bundled lattice for |t| <= 20
     for name, rows in BUNDLED_LATTICES.items():
         g = GramLattice.from_rows(rows)
-        attained = brute_values(g, 50)
+        attained = brute_values(g, 50, tuple(range(-20, 21)))
         for t in range(-20, 21):
             rep = represents_value(g, t)
             if rep.status == "yes":

@@ -28,6 +28,7 @@ from latcert.cli import (
     main,
 )
 from latcert.discgroup import discriminant_group, smith_normal_form
+from latcert.isometry import MAX_K_MAX
 from latcert.lattice import GramLattice
 from latcert.matrices import from_rows, mat_mul
 from latcert.oracle import MAX_BOX_RADIUS
@@ -541,6 +542,44 @@ def test_orbit_past_print_limit_keeps_no_entry_past_it(data_dir):
     assert int(proc.stdout) < 60 * 1024  # in kB
 
 
+def test_orbit_k_max_over_the_cap_is_refused_at_once(capsys, data_dir):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "orbit",
+        str(data_dir / "gizatullin.json"),
+        "--k-max",
+        str(MAX_K_MAX + 1),
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"error: k_max must be between 1 and {MAX_K_MAX}\n"
+
+
+def test_orbit_of_finite_order_at_the_cap_stays_small(tmp_path):
+    # -I keeps every entry at the size of h, so the walk runs all
+    # MAX_K_MAX + 1 steps; 3*10^7 of them used to fill 8 GB
+    doc = {"gram": [[4, 20], [20, 4]], "polarization": [1, 0]}
+    doc["isometry"] = [[-1, 0], [0, -1]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    proc = run_child(
+        "import contextlib, io, sys\n"
+        "from latcert.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = main(['orbit', {str(path)!r}, '--k-max', '{MAX_K_MAX}'])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(len(out.getvalue().splitlines()))\n"
+        "print(status.split('VmHWM:')[1].split()[0])\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    lines, peak_kb = map(int, proc.stdout.split())
+    assert lines == MAX_K_MAX + 2  # k = 0..MAX_K_MAX and the char poly
+    assert peak_kb < 60 * 1024
+
+
 def test_pell_with_the_print_limit_off_uses_its_default():
     # with PYTHONINTMAXSTRDIGITS=0 the walk used to run the whole period
     # of sqrt(d) and print 127,822 characters
@@ -719,6 +758,42 @@ class TestExitCodeContract:
     def test_bundled_documents(self, capsys, data_dir, name, expected):
         code, _, _ = run_cli(capsys, "check", str(data_dir / name))
         assert code == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("check",),
+            ("check", "gizatullin.json", "--degree-bound", "abc"),
+            ("check", "gizatullin.json", "--bogus"),
+            ("orbit", "gizatullin.json", "--k-max", "many"),
+            ("nosuchcommand",),
+        ],
+    )
+    def test_usage_errors_exit_3(self, capsys, data_dir, argv):
+        # argparse exits 2, which check uses for "unknown"
+        argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "usage:" in err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("check", "--help"), ("--version",)])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_PASS
+        assert out
+
+    @pytest.mark.parametrize("cmd", ["check", "disc", "orbit", "enumerate"])
+    def test_deeply_nested_document_is_malformed_json(self, capsys, tmp_path, cmd):
+        # json.load raises RecursionError here, which used to escape as a
+        # traceback and exit 1, check's "fail"
+        path = tmp_path / "deep.json"
+        path.write_text('{"gram": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(capsys, cmd, str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: malformed JSON in input document: ")
 
 
 # det(U*G) < 0, with zero generator coordinates; det(U*G) < 0 and cyclic;

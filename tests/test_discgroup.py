@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from latcert.certificate import _automorph
 from latcert.discgroup import (
+    SmithDecomposition,
     action_order,
     discriminant_group,
     induced_action,
@@ -22,6 +23,7 @@ from .conftest import (
     reduced,
     unimodular_inverse,
 )
+from .test_rank2_kernels import ref_smith_normal_form
 
 
 def int_matrices(lo=-50, hi=50):
@@ -31,10 +33,13 @@ def int_matrices(lo=-50, hi=50):
 
 
 def assert_valid_snf(matrix, snf):
+    """U * M * V = D with V from the reference reduction, which keeps
+    the V that smith_normal_form does not."""
     rows, cols = len(matrix), len(matrix[0])
-    assert mat_mul(mat_mul(snf.U, from_rows(matrix)), snf.V) == snf.D
+    v = ref_smith_normal_form(matrix)[2]
+    assert mat_mul(mat_mul(snf.U, from_rows(matrix)), v) == snf.D
     assert abs(det(snf.U)) == 1
-    assert abs(det(snf.V)) == 1
+    assert abs(det(v)) == 1
     for i in range(rows):
         for j in range(cols):
             if i != j:
@@ -64,6 +69,9 @@ class TestSmithNormalForm:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             smith_normal_form(())
+
+    def test_keeps_u_and_d_only(self):
+        assert SmithDecomposition._fields == ("U", "D")
 
     @given(int_matrices(lo=-9, hi=9))
     @settings(max_examples=200, deadline=None)

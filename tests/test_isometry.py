@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcert.isometry import (
+    MAX_K_MAX,
     QuadraticRoot,
     TRIAL_DIVISION_BOUND,
     _squarefree_split,
@@ -274,6 +275,7 @@ class TestPolarizationOrbit:
         assert len(polarization_orbit(paper_lattice, minus, (1, 0), 1, 21)) == 2
         assert polarization_orbit(paper_lattice, minus, (1, 0), 1, 20) is None
 
-    def test_rejects_bad_k_max(self, paper_lattice, sigma):
-        with pytest.raises(ValueError):
-            polarization_orbit(paper_lattice, sigma, (1, 0), 0, 10**9)
+    @pytest.mark.parametrize("k_max", [0, MAX_K_MAX + 1])
+    def test_rejects_bad_k_max(self, paper_lattice, sigma, k_max):
+        with pytest.raises(ValueError, match="k_max must be between"):
+            polarization_orbit(paper_lattice, sigma, (1, 0), k_max, 10**9)

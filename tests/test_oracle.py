@@ -1,10 +1,7 @@
+import inspect
 import json
 import math
-import os
-import pathlib
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -26,59 +23,29 @@ from latcert.oracle import (
 
 from .conftest import brute_pell, identity, mat_pow
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-
 
 class TestBruteValues:
     def test_paper_lattice_avoids_0_and_minus2(self, paper_lattice):
-        values = brute_values(paper_lattice, 50)
-        assert 0 not in values
-        assert -2 not in values
+        values = brute_values(paper_lattice, 50, (0, -2))
+        assert values == {}
 
     def test_basis_norms_present(self, paper_lattice):
-        values = brute_values(paper_lattice, 1)
+        values = brute_values(paper_lattice, 1, (4, 48))
         assert 4 in values  # norm of each basis vector
         assert 48 in values  # norm of h1 + h2
 
     def test_minimum_positive_value(self, paper_lattice):
-        values = brute_values(paper_lattice, 50)
-        assert min(t for t in values if t > 0) == 4
+        values = brute_values(paper_lattice, 50, tuple(range(1, 5)))
+        assert min(values) == 4
+
+    def test_targets_are_required(self, paper_lattice):
+        with pytest.raises(TypeError):
+            brute_values(paper_lattice, 50)
 
     def test_rejects_large_rank(self):
         # no rank-3 lattice reaches the scan: GramLattice refuses it
         with pytest.raises(ValueError, match="rank 3"):
             GramLattice.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-
-
-    def test_targets_lower_peak_memory(self):
-        # At radius 200 this Gram attains 80,201 distinct norms, 0 among
-        # them and -2 not; the full scan keeps a witness for each (about
-        # 11 MB), the targeted one only for 0.
-        scan = (
-            "import sys\n"
-            "from latcert.lattice import GramLattice\n"
-            "from latcert.oracle import brute_values\n"
-            "g = GramLattice(((2000000000, 1), (1, -2000000002)))\n"
-            "brute_values(g, 200, (0, -2) if sys.argv[1] == 'targets' else None)\n"
-        )
-        # A child starts with its parent's peak RSS (ru_maxrss survives
-        # fork and exec), so the scan runs in the child of a small launcher.
-        launcher = (
-            "import resource, subprocess, sys\n"
-            "subprocess.run([sys.executable, '-c', sys.argv[1], sys.argv[2]], check=True)\n"
-            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-
-        def peak_kb(mode):
-            proc = subprocess.run(
-                [sys.executable, "-c", launcher, scan, mode],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stdout)
-
-        assert peak_kb("targets") + 5000 < peak_kb("full")
 
 
 class TestBruteLowDegree:
@@ -97,11 +64,6 @@ class TestBruteLowDegree:
         found = [c for c in classes if c.coords == (0, 1)]
         assert found and found[0].multiple_of_h is None
 
-    def test_insufficient_box_rejected(self, paper_lattice):
-        needed = required_box_radius(paper_lattice, (1, 0), 16)
-        with pytest.raises(ValueError, match="insufficient"):
-            brute_low_degree(paper_lattice, (1, 0), 16, radius=needed - 1)
-
     def test_box_wider_than_limit_refused(self, paper_lattice):
         assert required_box_radius(paper_lattice, (1, 0), 400) == 206
         with pytest.raises(ValueError) as refused:
@@ -110,13 +72,20 @@ class TestBruteLowDegree:
             "degree bound 400 needs a low-degree box radius of 206; "
             f"the limit is {MAX_BOX_RADIUS}"
         )
-        with pytest.raises(ValueError, match="the limit is"):
-            brute_low_degree(paper_lattice, (1, 0), 16, MAX_BOX_RADIUS + 1)
 
     def test_box_at_limit_runs(self, paper_lattice):
-        assert required_box_radius(paper_lattice, (1, 0), 16) < MAX_BOX_RADIUS
-        classes = brute_low_degree(paper_lattice, (1, 0), 16, MAX_BOX_RADIUS)
-        assert classes == brute_low_degree(paper_lattice, (1, 0), 16)
+        # 392 is the largest degree bound whose box fits under the limit
+        assert required_box_radius(paper_lattice, (1, 0), 392) == 199
+        assert required_box_radius(paper_lattice, (1, 0), 393) > MAX_BOX_RADIUS
+        got = [
+            (c.coords, c.degree, c.square, c.multiple_of_h)
+            for c in brute_low_degree(paper_lattice, (1, 0), 392)
+        ]
+        assert got == reference_low_degree(paper_lattice, (1, 0), 392, 199)
+
+    def test_has_no_radius_parameter(self):
+        params = inspect.signature(brute_low_degree).parameters
+        assert list(params) == ["g", "h", "bound"]
 
 
 def random_grams(seed, count, indefinite=False):
@@ -211,25 +180,14 @@ def fraction_box_radius(g, h, bound):
 
 
 class TestScansAgainstReference:
-    @pytest.mark.parametrize("rank,seed", [(2, 2), (2, 3)])
-    def test_values_dict_and_witnesses(self, rank, seed):
-        rng = random.Random(seed)
-        for g in random_grams(seed, 40):
-            radius = rng.randint(1, 9)
-            got = brute_values(g, radius)
-            # same norms, same first witness, same insertion order
-            assert list(got.items()) == list(reference_values(g, radius).items())
-
     def test_values_with_targets_match_full_scan(self):
         rng = random.Random(5)
         for g in random_grams(5, 60):
             radius = rng.randint(1, 9)
-            full = brute_values(g, radius)
+            full = reference_values(g, radius)
             targets = tuple(rng.randint(-40, 40) for _ in range(rng.randint(1, 4)))
             got = brute_values(g, radius, targets)
-            assert list(got.items()) == [
-                (t, v) for t, v in full.items() if t in targets
-            ]
+            assert got == {t: v for t, v in full.items() if t in targets}
 
     def test_values_with_targets_match_2d_scan(self):
         rng = random.Random(6)
@@ -249,9 +207,11 @@ class TestScansAgainstReference:
             ]
             targets = (0, -2, *hits, rng.randint(-100, 100))
             got = brute_values(g, radius, targets)
-            assert list(got.items()) == list(
-                reference_target_values(g, radius, targets).items()
-            ), (g.entries, radius, targets)
+            assert got == reference_target_values(g, radius, targets), (
+                g.entries,
+                radius,
+                targets,
+            )
 
     @pytest.mark.parametrize("radius", [50, 200])
     def test_values_with_targets_on_bundled_documents(self, data_dir, radius):
@@ -259,9 +219,10 @@ class TestScansAgainstReference:
             g = GramLattice.from_rows(json.loads(path.read_text())["gram"])
             for targets in ((0, -2), (4, 0, -2, 2, -4)):
                 got = brute_values(g, radius, targets)
-                assert list(got.items()) == list(
-                    reference_target_values(g, radius, targets).items()
-                ), (path.name, targets)
+                assert got == reference_target_values(g, radius, targets), (
+                    path.name,
+                    targets,
+                )
 
     def test_low_degree_list_order_and_multiples(self):
         rng = random.Random(4)
@@ -271,10 +232,11 @@ class TestScansAgainstReference:
             if h == (0, 0) or norm(g, h) <= 0:
                 continue
             bound = rng.randint(1, 40)
-            radius = required_box_radius(g, h, bound) + rng.randint(0, 2)
+            # a wider box finds no class that the derived box misses
+            radius = required_box_radius(g, h, bound) + rng.randint(1, 3)
             got = [
                 (c.coords, c.degree, c.square, c.multiple_of_h)
-                for c in brute_low_degree(g, h, bound, radius)
+                for c in brute_low_degree(g, h, bound)
             ]
             assert got == reference_low_degree(g, h, bound, radius)
             checked += 1

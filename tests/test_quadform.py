@@ -110,7 +110,7 @@ class TestPellFundamental:
             if math.isqrt(d) ** 2 == d:
                 continue
             x, y = pell_by_squaring(d)
-            assert pell_fundamental(d, 2 * y) == (x, y, d, 1), d
+            assert pell_fundamental(d, 2 * y) == (x, y, d), d
             for limit in (y - 1, y, y + 1):
                 sol = pell_fundamental(d, limit)
                 expected = pell_by_squaring(d, limit)
@@ -139,12 +139,12 @@ class TestPellSolution:
     @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
     def test_every_construction_path_rejects_non_solution(self, path):
         with pytest.raises(ValueError, match="not a solution"):
-            rebuild(path, PellSolution(5, 1, 24, 1), x=6)
+            rebuild(path, PellSolution(5, 1, 24), x=6)
 
     @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
     def test_every_construction_path_accepts_solution(self, path):
-        sol = rebuild(path, PellSolution(5, 1, 24, 1), x=49, y=10)
-        assert sol == PellSolution(x=49, y=10, D=24, N=1)
+        sol = rebuild(path, PellSolution(5, 1, 24), x=49, y=10)
+        assert sol == PellSolution(x=49, y=10, D=24)
 
     def test_immutable(self):
         sol = pell_fundamental(24, 10)
@@ -154,7 +154,10 @@ class TestPellSolution:
             sol.note = "no instance dict"
 
     def test_equals_plain_tuple_of_fields(self):
-        assert pell_fundamental(24, 10) == (5, 1, 24, 1)
+        assert pell_fundamental(24, 10) == (5, 1, 24)
+
+    def test_fields(self):
+        assert PellSolution._fields == ("x", "y", "D")
 
 
 class TestRepresentsValue:
@@ -191,7 +194,7 @@ class TestRepresentsValue:
             if b * b - 4 * al * be * ga * de <= 0:
                 continue
             g = GramLattice.from_rows([[2 * al * ga, b], [b, 2 * be * de]])
-            attained = brute_values(g, 12)
+            attained = brute_values(g, 12, tuple(range(-20, 21, 2)))
             for t in range(-20, 21, 2):
                 rep = represents_value(g, t)
                 if rep.status == "yes":
@@ -222,7 +225,7 @@ class TestRepresentsValue:
     @settings(max_examples=250, deadline=None)
     def test_agreement_with_box_oracle(self, g, t):
         rep = represents_value(g, t)
-        attained = brute_values(g, 25)
+        attained = brute_values(g, 25, (t,))
         if rep.status == "yes":
             x, y = rep.witness
             assert norm(g, (x, y)) == t

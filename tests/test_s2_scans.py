@@ -328,9 +328,7 @@ class TestPellClassSearch:
     def test_walk_stops_past_the_limit(self):
         # 1766319049^2 - 61 * 226153980^2 = 1 is the least solution
         for limit in (226153980, 10**12, 10**4300):
-            assert quadform.pell_fundamental(61, limit) == (
-                1766319049, 226153980, 61, 1
-            )
+            assert quadform.pell_fundamental(61, limit) == (1766319049, 226153980, 61)
         assert quadform.pell_fundamental(61, 10**6) is None
 
 
