@@ -225,28 +225,24 @@ def cmd_orbit(args) -> int:
             "limit for printing an integer; lower --k-max"
         )
     char = char_poly_rank2(m)
-    # The whole output is formatted before any of it is printed.
+    root = str(char.dominant_root) if char.dominant_root else None
+    # Each entry is printed as it is formatted, so the text is never held
+    # whole; the JSON is byte for byte json.dumps(doc, sort_keys=True).
     if args.format == "json":
-        text = json.dumps(
-            {
-                "orbit": [
-                    {"k": k, "coords": list(v), "degree": d}
-                    for k, v, d in orbit
-                ],
-                "char_poly": {"trace": char.trace, "det": char.det},
-                "dominant_root": (
-                    str(char.dominant_root) if char.dominant_root else None
-                ),
-            },
-            sort_keys=True,
-        )
+        poly = {"trace": char.trace, "det": char.det}
+        head = json.dumps({"char_poly": poly, "dominant_root": root}, sort_keys=True)
+        print(head[:-1] + ', "orbit": [', end="")  # "orbit" sorts last
+        sep = ""
+        for k, (x, y), d in orbit:  # ints print as json.dumps prints them
+            print(f'{sep}{{"coords": [{x}, {y}], "degree": {d}, "k": {k}}}', end="")
+            sep = ", "
+        print("]}")
     else:
-        lines = [f"k={k}: {v} degree={d}" for k, v, d in orbit]
-        lines.append(f"char poly: trace={char.trace} det={char.det}")
-        if char.dominant_root:
-            lines.append(f"dominant root: {char.dominant_root}")
-        text = "\n".join(lines)
-    print(text)
+        for k, v, d in orbit:
+            print(f"k={k}: {v} degree={d}")
+        print(f"char poly: trace={char.trace} det={char.det}")
+        if root:
+            print(f"dominant root: {root}")
     return EXIT_PASS
 
 

@@ -3,11 +3,12 @@ and induced isometry actions."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 from .isometry import is_isometry
 from .lattice import GramLattice
-from .matrices import Matrix, mat_mul
+from .matrices import Matrix, adjugate, det, mat_mul
 
 
 class SmithDecomposition(NamedTuple):
@@ -68,21 +69,16 @@ class DiscriminantGroup(NamedTuple):
     """L*/L of a nondegenerate lattice, in one integer frame.
 
     Generator j is columns[j] / scale and has order
-    invariant_factors[j] (each > 1). The coordinate of a dual class w
-    along generator i is rows[i] . w, taken modulo invariant_factors[i].
+    invariant_factors[j] (each > 1).
     """
 
     invariant_factors: tuple[int, ...]
-    rows: Matrix
     columns: Matrix
     scale: int
 
     @property
     def order(self) -> int:
-        result = 1
-        for f in self.invariant_factors:
-            result *= f
-        return result
+        return math.prod(self.invariant_factors)
 
 
 def discriminant_group(g: GramLattice) -> DiscriminantGroup:
@@ -95,69 +91,56 @@ def discriminant_group(g: GramLattice) -> DiscriminantGroup:
     indices with d_i > 1 are kept.
     """
     snf = smith_normal_form(g.entries)
-    ug = mat_mul(snf.U, g.entries)
-    (a, b), (c, d) = ug
-    columns = ((d, -c), (-b, a))  # of adj(U*G)
+    (a, b), (c, d) = mat_mul(snf.U, g.entries)
     diagonal = snf.diagonal
     first = diagonal.count(1)  # d1 | d2: the 1s come first
     return DiscriminantGroup(
         invariant_factors=diagonal[first:],
-        rows=ug[first:],
-        columns=columns[first:],
+        columns=((d, -c), (-b, a))[first:],  # of adj(U*G)
         scale=a * d - b * c,
     )
 
 
 class DiscAction(NamedTuple):
-    """Action of an isometry on the discriminant group, as an integer
-    matrix in generator coordinates; row i is taken modulo factors[i],
-    which tuple equality does not do."""
+    """Action of an isometry on L*/L = Z/d1 + Z/d2, d1 | d2, as a 2x2
+    integer matrix in generator coordinates; row i is taken modulo
+    factors[i], which tuple equality does not do. A factor of 1 stands
+    for a trivial summand."""
 
     matrix: Matrix
-    factors: tuple[int, ...]
+    factors: tuple[int, int]
 
 
 def induced_action(g: GramLattice, m: Matrix) -> DiscAction:
-    """The map induced by the isometry m on the discriminant generators,
-    in integers.
+    """The map induced by the isometry m on the generators of L*/L, in
+    integers: U * M^-T * U^-1 over factors (d1, d2), for U*G*V = D.
 
-    Column j of the action matrix is the generator coordinates of the
-    class of m*w_j, so entry (i, j) is rows[i] . m . columns[j] / scale
-    in the frame of discriminant_group. The division is exact: m maps
-    L* to itself, and U*G maps L* into Z^2.
+    Column j is the coordinates of m*w_j for the generator w_j, column j
+    of (U*G)^(-1), so the matrix is U*G * M * (U*G)^(-1), and
+    G * M * G^-1 = M^-T follows from M^T * G * M = G. Both inverses are
+    exact: det M = +-1 as G is nondegenerate, and U is unimodular.
     """
     if not is_isometry(g, m):
         raise ValueError("matrix is not an isometry of the lattice")
-    group = discriminant_group(g)
+    snf = smith_normal_form(g.entries)
+    u = snf.U
+    s = det(m) * det(u)  # M^-T = det(M) adj(M)^T, U^-1 = det(U) adj(U)
     (m00, m01), (m10, m11) = m
-    rows = []
-    for r0, r1 in group.rows:
-        x, y = r0 * m00 + r1 * m10, r0 * m01 + r1 * m11  # the row r*m
-        row = []
-        for c0, c1 in group.columns:
-            q, rem = divmod(x * c0 + y * c1, group.scale)
-            assert rem == 0
-            row.append(q)
-        rows.append(tuple(row))
-    return DiscAction(matrix=tuple(rows), factors=group.invariant_factors)
+    m_inv_t = ((s * m11, -s * m10), (-s * m01, s * m00))  # det(U) * M^-T
+    return DiscAction(mat_mul(mat_mul(u, m_inv_t), adjugate(u)), snf.diagonal)
 
 
 def action_order(a: DiscAction) -> Optional[int]:
     """Least n >= 1 with a^n = id; None when n would exceed the group
     order.
 
-    a^n is iterated on four residues: a cyclic or trivial group is
-    padded with a leading Z/1, and row i of a and of each power is kept
-    reduced mod factors[i], with factors = (d1, d2), d1 | d2. For an
-    action induced by an isometry the (1, 0) entry of a and of every
-    power is a multiple of d2/d1, so reducing both factors of a product
-    leaves its reduced rows unchanged.
+    a^n is iterated on four residues: row i of a and of each power is
+    kept reduced mod factors[i]. For an action induced by an isometry
+    the (1, 0) entry of a and of every power is a multiple of d2/d1, so
+    reducing both factors of a product leaves its reduced rows
+    unchanged.
     """
-    if len(a.factors) == 2:
-        (d1, d2), ((a00, a01), (a10, a11)) = a.factors, a.matrix
-    else:
-        d1, a00, a01, a10 = 1, 0, 0, 0
-        (d2,), ((a11,),) = a.factors or (1,), a.matrix or ((0,),)
+    (d1, d2), ((a00, a01), (a10, a11)) = a.factors, a.matrix
     a00, a01, a10, a11 = a00 % d1, a01 % d1, a10 % d2, a11 % d2
     one1, one2 = 1 % d1, 1 % d2
     c00, c01, c10, c11 = a00, a01, a10, a11

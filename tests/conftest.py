@@ -142,11 +142,7 @@ def compose(a, b):
     """The action a*b, its matrix product taken unreduced."""
     if a.factors != b.factors:
         raise ValueError("actions on different groups")
-    if len(a.factors) == 2:
-        prod = mat_mul(a.matrix, b.matrix)
-    else:  # a cyclic group (1x1 matrices) or the trivial one (0x0)
-        prod = tuple((x * y,) for (x,), (y,) in zip(a.matrix, b.matrix))
-    return DiscAction(matrix=prod, factors=a.factors)
+    return DiscAction(matrix=mat_mul(a.matrix, b.matrix), factors=a.factors)
 
 
 def random_unimodular(rank, ops):

@@ -241,7 +241,7 @@ class TestS5:
         assert result.details["disc_action_order"] == 4
 
     def test_cyclic_discriminant_group(self):
-        # L*/L = Z/305, so the action is a 1x1 matrix
+        # L*/L = Z/305: the action is 2x2 over the factors (1, 305)
         g = GramLattice.from_rows([[4, 1], [1, -76]])
         report = run_certificate(CertificateInput(gram=g, polarization=(1, 0)))
         assert report.verdict == "pass"

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from latcert.certificate import _automorph
 from latcert.discgroup import (
+    DiscriminantGroup,
     SmithDecomposition,
     action_order,
     discriminant_group,
@@ -93,6 +94,9 @@ class TestDiscriminantGroup:
         assert group.invariant_factors == ()
         assert group.order == 1
 
+    def test_frame_fields(self):
+        assert DiscriminantGroup._fields == ("invariant_factors", "columns", "scale")
+
     def test_two_torsion(self):
         group = discriminant_group(GramLattice.from_rows([[2, 0], [0, -2]]))
         assert group.invariant_factors == (2, 2)
@@ -134,6 +138,7 @@ class TestInducedAction:
         from latcert.oracle import brute_action_order
 
         action = induced_action(paper_lattice, sigma)
+        assert action.factors == (4, 96)
         n = action_order(action)
         assert n == brute_action_order(paper_lattice, sigma)
 
@@ -153,11 +158,11 @@ class TestActionOrder:
         assert action_order(identity_action((4, 96))) == 1
 
     def test_trivial_group(self):
-        assert action_order(identity_action(())) == 1
+        assert action_order(identity_action((1, 1))) == 1
 
     @pytest.mark.parametrize(
         "rows,factors,n",
-        [([[-12, 1], [1, 12]], (145,), 2), ([[-12, 2], [2, 4]], (2, 26), 6)],
+        [([[-12, 1], [1, 12]], (1, 145), 2), ([[-12, 2], [2, 4]], (2, 26), 6)],
     )
     def test_automorph_order_need_not_divide_the_exponent(self, rows, factors, n):
         # n divides |Aut(L*/L)| (phi(145) = 112 for Z/145), not the

@@ -211,15 +211,12 @@ LOOP_LEDGER = {
     ("cli", "cmd_enumerate", "for", 1): ("budget", "oracle.MAX_BOX_RADIUS"),
     # stops at the print limit when the entries grow; a matrix of finite
     # order or a parabolic one runs all k_max + 1 steps
-    ("cli", "cmd_orbit", "listcomp", 1): ("budget", "isometry.MAX_K_MAX"),
-    ("cli", "cmd_orbit", "listcomp", 2): ("budget", "isometry.MAX_K_MAX"),
+    ("cli", "cmd_orbit", "for", 1): ("budget", "isometry.MAX_K_MAX"),
+    ("cli", "cmd_orbit", "for", 2): ("budget", "isometry.MAX_K_MAX"),
     # each pass that does not break makes the pivot a proper divisor of itself
     ("discgroup", "smith_normal_form", "while", 1): ("bits", "log2 of the entries"),
     ("discgroup", "smith_normal_form", "genexp", 1): ("constant", "4 entries"),
     ("discgroup", "smith_normal_form", "while", 2): ("bits", "Euclid's steps"),
-    ("discgroup", "DiscriminantGroup.order", "for", 1): ("constant", "<= 2 factors"),
-    ("discgroup", "induced_action", "for", 1): ("constant", "<= 2 generators"),
-    ("discgroup", "induced_action", "for", 2): ("constant", "<= 2 generators"),
     ("isometry", "is_isometry", "genexp", 1): ("constant", "2 rows"),
     ("isometry", "_squarefree_split", "while", 1): (
         "budget",
