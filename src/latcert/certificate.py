@@ -279,59 +279,45 @@ def check_S4_low_degree(
     return StepResult("S4", "pass", citation, details=details)
 
 
-def _automorph(g: GramLattice) -> Optional[Matrix]:
-    """The automorph generator of the primitive form of g, the isometry
-    S5 checks when none is supplied; None when there is none (a square or
-    negative discriminant).
-
-    For g of signature (1,1) and any h of positive norm it passes S5's
-    cone, order and polarization checks, so no other candidate is
-    needed. For the primitive form a*x^2 + b*x*y + c*y^2 of
-    discriminant D it is M = [[(t - b*u)/2, -c*u], [a*u, (t + b*u)/2]]
-    with t^2 - D*u^2 = 4 and u >= 1. So det M = 1 and its trace t is
-    greater than 2: M is hyperbolic, hence of infinite order, with
-    positive eigenvalues l and 1/l. An eigenvector v is isotropic,
-    since norm(v) = norm(l*v) = l^2 * norm(v) with l^2 != 1. Writing
-    h = x*v + y*w over the two eigenvectors gives
-    inner(M*h, h) = (l + 1/l) * x*y * inner(v, w) = (t/2) * norm(h), so
-    M preserves each cone, and M*h = h would make 1 an eigenvalue, so M
-    fixes no vector of positive norm.
-    """
-    f0, _ = quadform.primitive_part(quadform.to_binary_form(g))
-    try:
-        return quadform.automorph_generator(f0)
-    except ValueError:
-        return None
-
-
 def check_S5_isometry(
     g: GramLattice, h: Vector, m: Optional[Matrix]
 ) -> StepResult:
     """Infinite-order cone-preserving isometry moving the polarization,
-    plus the least n acting trivially on the discriminant group. With no
-    isometry supplied, the automorph generator is checked."""
+    plus the least n acting trivially on the discriminant group.
+
+    Precondition, which S1-S3 establish: v.G.v has content k in {2, 4}
+    (S3's primitive h of norm 4 on an even lattice forces k | 4 and
+    2 | k) and a positive nonsquare discriminant; else ValueError.
+
+    With no isometry supplied, S5 checks the automorph generator
+    M = [[(t - b*u)/2, -c*u], [a*u, (t + b*u)/2]] of the primitive form
+    v.G.v / k = a*x^2 + b*x*y + c*y^2 of discriminant D, with
+    t^2 - D*u^2 = 4 and u >= 1; no other candidate is needed. det M = 1
+    and t > 2, so M has infinite order and eigenvalues l, 1/l > 0, with
+    isotropic eigenvectors v, w (norm(v) = norm(l*v) = l^2 * norm(v)).
+    For h = x*v + y*w, inner(M*h, h) = (l + 1/l) * x*y * inner(v, w) =
+    (t/2) * norm(h): M preserves each cone, and M*h = h would make 1 an
+    eigenvalue, so M moves every h of positive norm.
+    """
     citation = (
         "Lemma autom: infinite-order isometry with g*(h) != h; "
         "sigma^n = id on the discriminant group; realization via "
         "Nikulin Prop. 1.6.1 and global Torelli (cited)"
     )
+    f0, k = quadform.primitive_part(quadform.to_binary_form(g))
+    disc = f0.discriminant
+    if k not in (2, 4) or disc <= 0 or math.isqrt(disc) ** 2 == disc:
+        raise ValueError(
+            "S5 needs S1-S3: v.G.v must have content 2 or 4 and a positive "
+            "nonsquare discriminant"
+        )
     h, _ = normalize_polarization(h)
     if m is None:
-        m = _automorph(g)
-        if m is None:
-            return StepResult(
-                "S5",
-                "fail",
-                citation,
-                witness="no automorph generator: the discriminant is not "
-                "a positive nonsquare",
-            )
+        m = quadform.automorph_generator(f0)
     try:
         action = induced_action(g, m)  # the one check of M^T * G * M = G
     except ValueError:
-        return StepResult(
-            "S5", "fail", citation, witness="matrix is not an isometry"
-        )
+        return StepResult("S5", "fail", citation, "matrix is not an isometry")
     char = char_poly_rank2(m)
     root = str(char.dominant_root) if char.dominant_root else None
     details = {
@@ -356,12 +342,10 @@ def check_S5_isometry(
         problems.append("isometry fixes the polarization")
     details["moves_polarization"] = moves
     if problems:
-        return StepResult(
-            "S5", "fail", citation, witness="; ".join(problems), details=details
-        )
+        return StepResult("S5", "fail", citation, "; ".join(problems), details)
     n = action_order(action)
-    if n is None:  # an automorphism of a finite group G has order <= |G|
-        raise RuntimeError("induced action on L*/L has no order <= |L*/L|")
+    if n is None:  # action_order proves n <= 6 under the precondition
+        raise RuntimeError("induced action on L*/L has no order <= 6")
     details["disc_action_order"] = n
     details["isometry"] = [list(row) for row in m]
     return StepResult("S5", "pass", citation, details=details)

@@ -21,7 +21,7 @@ from .certificate import (
     run_certificate,
 )
 from .discgroup import discriminant_group
-from .isometry import char_poly_rank2, polarization_orbit, ratio
+from .isometry import char_poly_rank2, is_isometry, polarization_orbit, ratio
 from .lattice import GramLattice, norm
 from .matrices import from_rows
 from .oracle import (
@@ -217,6 +217,8 @@ def cmd_orbit(args) -> int:
     m = inp.isometry
     if m is None:
         raise DocumentError("orbit requires an isometry in the document")
+    if not is_isometry(inp.gram, m):
+        raise DocumentError("matrix is not an isometry of the lattice")
     digits = _print_limit()
     orbit = polarization_orbit(inp.gram, m, inp.polarization, args.k_max, 10**digits)
     if orbit is None:

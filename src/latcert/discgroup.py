@@ -131,8 +131,21 @@ def induced_action(g: GramLattice, m: Matrix) -> DiscAction:
 
 
 def action_order(a: DiscAction) -> Optional[int]:
-    """Least n >= 1 with a^n = id; None when n would exceed the group
-    order.
+    """Least n in 1..6 with a^n = id; None when there is none.
+
+    Under S5's precondition (v.G.v of content k in {2, 4}) an isometry
+    M of infinite order (det M = 1: det -1 is a reflection) has n | 2, 4
+    or 6. Let f0 = v.G.v / k have discriminant D0 and Gram matrix
+    G0 = 2G/k. With J = [[0, 1], [-1, 0]], (G0*J)^2 = D0, so Z^2 is an
+    invertible module over the order O of discriminant D0, sqrt D0
+    acting as G0*J; M^-T commutes with G0*J, so it acts as a unit eps =
+    (t + u*sqrt D0)/2 of norm 1. w -> G*w maps L*/L onto Z^2 / G*Z^2 =
+    Z^2 / (k/2)*G0*J*Z^2, M acting as M^-T: L*/L ~ O/((k/2)*sqrt D0),
+    M acting as eps. As eps - conj(eps) = u*sqrt D0, eps^2 =
+    eps*conj(eps) = 1 mod sqrt D0. k = 2: n | 2. k = 4, 4 | D0: sqrt D0
+    is in 2O, so eps^2 = 1 + x*sqrt D0 gives eps^4 = 1 mod 2*sqrt D0.
+    k = 4, D0 odd: O/(2*sqrt D0) ~ O/2 x O/sqrt D0 by the Chinese
+    remainder theorem, |(O/2O)^x| is 1 or 3 (D0 = 1 or 5 mod 8): eps^6 = 1.
 
     a^n is iterated on four residues: row i of a and of each power is
     kept reduced mod factors[i]. For an action induced by an isometry
@@ -144,7 +157,7 @@ def action_order(a: DiscAction) -> Optional[int]:
     a00, a01, a10, a11 = a00 % d1, a01 % d1, a10 % d2, a11 % d2
     one1, one2 = 1 % d1, 1 % d2
     c00, c01, c10, c11 = a00, a01, a10, a11
-    for n in range(1, d1 * d2 + 1):
+    for n in range(1, 7):
         if c00 == one1 and c01 == 0 and c10 == 0 and c11 == one2:
             return n
         c00, c01, c10, c11 = (

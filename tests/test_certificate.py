@@ -23,6 +23,7 @@ from latcert.certificate import (
 )
 from latcert import certificate, cli, quadform
 from latcert.discgroup import discriminant_group
+from latcert.isometry import is_isometry
 from latcert.lattice import GramLattice, inner, norm
 from latcert.matrices import from_rows
 from latcert.oracle import brute_action_order, brute_low_degree
@@ -207,11 +208,10 @@ class TestS5:
         assert details["dominant_root"] == f"{p} + {q}*sqrt(6)"
 
     def test_never_unknown_on_golden_inputs(self):
-        # induced_action gives an automorphism of L*/L, and an automorphism
-        # of a finite group G != 1 has order below |G| (Horosevskii, 1974),
-        # so action_order always finds n. Census pairs whose golden report
-        # skips S5 are left out: for some of them the unbudgeted automorph
-        # search runs for seconds.
+        # n divides 2, 4 or 6 on S5's path (the proof is in the docstring
+        # of discgroup.action_order), so action_order always finds it.
+        # Census pairs whose golden report skips S5 are left out: for some
+        # of them the unbudgeted automorph search runs for seconds.
         statuses = []
         for line in GOLDEN_REPORTS.read_text().splitlines():
             entry = json.loads(line)
@@ -224,8 +224,7 @@ class TestS5:
             assert result.status in ("pass", "fail"), doc
             if result.status == "pass":
                 n = result.details["disc_action_order"]
-                group = discriminant_group(g).order
-                assert type(n) is int and 1 <= n and (n < group or group == 1)
+                assert type(n) is int and n in (1, 2, 3, 4, 6), doc
             statuses.append((entry["family"], result.status))
         assert statuses.count(("sigma^k", "pass")) == 64
         assert statuses.count(("census", "pass")) == 186
@@ -234,6 +233,23 @@ class TestS5:
         monkeypatch.setattr(certificate, "action_order", lambda action: None)
         with pytest.raises(RuntimeError, match="no order"):
             check_S5_isometry(paper_lattice, (1, 0), sigma)
+
+    @pytest.mark.parametrize(
+        "rows,isometry",
+        [
+            ([[6, 3], [3, -6]], None),  # v.G.v has content 6
+            ([[6, 3], [3, -6]], ((1, 1), (1, 2))),
+            ([[2, 0], [0, -2]], None),  # discriminant 16, a square
+            ([[2, 0], [0, -2]], ((-1, 0), (0, -1))),
+        ],
+    )
+    def test_outside_the_precondition_raises(self, rows, isometry):
+        g = GramLattice.from_rows(rows)
+        assert isometry is None or is_isometry(g, isometry)
+        with pytest.raises(ValueError, match="S5 needs S1-S3"):
+            check_S5_isometry(g, (1, 0), isometry)
+        report = run_certificate(CertificateInput(g, (1, 0), isometry))
+        assert report.step("S5").status == "skipped"
 
     def test_isometry_search_when_absent(self, paper_lattice):
         result = check_S5_isometry(paper_lattice, (1, 0), None)
@@ -282,9 +298,11 @@ class TestS5:
         # 0 <= b <= 11 whose primitive form f0 has a nonsquare discriminant
         # D and an automorph with u < 2000 (so the linear search in
         # automorph_generator stays short), and every h of positive norm
-        # among six: S5 passes with the generator itself.
+        # among six: S5 passes with the generator itself when v.G.v has
+        # content 2k = 2 or 4, and refuses the rest (18 of which have an
+        # order on L*/L past 6) with ValueError.
         polarizations = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))
-        cases = 0
+        cases = refused = 0
         for a, b, c in itertools.product(range(-8, 9), range(12), range(-8, 9)):
             if 4 * a * c - b * b >= 0:
                 continue
@@ -301,11 +319,16 @@ class TestS5:
             for h in polarizations:
                 if norm(g, h) <= 0:
                     continue
+                cases += 1
+                if k > 2:
+                    with pytest.raises(ValueError, match="content 2 or 4"):
+                        check_S5_isometry(g, h, None)
+                    refused += 1
+                    continue
                 result = check_S5_isometry(g, h, None)
                 assert result.status == "pass", (a, b, c, h)
                 assert result.details["isometry"] == gen
-                cases += 1
-        assert cases == 4488
+        assert (cases, refused) == (4488, 154)
 
 
 class TestRunCertificate:

@@ -412,37 +412,52 @@ class TestFactoringBound:
     """Discriminants with a prime factor far above the trial-division
     bound: S5 and orbit trial-divided them for minutes."""
 
+    N = HANG_CHECK_N
+    D = N * N + 1
+    A = 2 * N * N + 1
+    DOC = {
+        "gram": [[4, 0], [0, -4 * D]],
+        "polarization": [1, 0],
+        "isometry": [[A, 2 * D * N], [2 * N, A]],
+    }
+
     def test_check_passes(self, capsys, tmp_path):
-        n = HANG_CHECK_N
-        d = n * n + 1
-        a = 2 * n * n + 1
         path = tmp_path / "doc.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "gram": [[4, 0], [0, -4 * d]],
-                    "polarization": [1, 0],
-                    "isometry": [[a, 2 * d * n], [2 * n, a]],
-                }
-            )
-        )
+        path.write_text(json.dumps(self.DOC))
         code, out, _ = run_under_alarm(2.0, capsys, "check", str(path))
         assert code == EXIT_PASS
-        assert f"  dominant_root={a} + {2 * n}*sqrt({d})" in out.splitlines()
+        root = f"{self.A} + {2 * self.N}*sqrt({self.D})"
+        assert f"  dominant_root={root}" in out.splitlines()
 
-    def test_orbit_exits_zero(self, capsys, data_dir, tmp_path):
-        t = HANG_ORBIT_T
-        doc = json.loads((data_dir / "gizatullin.json").read_text())
-        doc["isometry"] = [[t, 1], [-2, 0]]
+    def test_orbit_exits_zero(self, capsys, tmp_path):
+        # orbit once took this hang on a non-isometry, [[T, 1], [-2, 0]]
+        # on the datum; it now refuses those (the test below)
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(self.DOC))
         code, out, _ = run_under_alarm(
             2.0, capsys, "orbit", str(path), "--k-max", "1"
         )
         assert code == EXIT_PASS
-        assert out.splitlines()[-1] == (
-            f"dominant root: {t}/2 + 1/2*sqrt({t * t - 8})"
-        )
+        root = f"{self.A} + {2 * self.N}*sqrt({self.D})"
+        assert out.splitlines()[-1] == f"dominant root: {root}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("isometry", [[[2, 1], [1, 1]], [[HANG_ORBIT_T, 1], [-2, 0]]])
+def test_orbit_refuses_a_matrix_that_is_not_an_isometry(
+    capsys, tmp_path, fmt, isometry
+):
+    # orbit printed the orbit and char poly of any 2x2 matrix and exited
+    # 0, where check fails S5 on it with "matrix is not an isometry"
+    doc = {"gram": [[4, 20], [20, 4]], "polarization": [1, 0], "isometry": isometry}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_under_alarm(2.0, capsys, "orbit", str(path), "--format", fmt)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: matrix is not an isometry of the lattice\n"
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == EXIT_FAIL
+    assert "  S5: fail  witness=matrix is not an isometry" in out.splitlines()
 
 
 class TestDegreeBoundLimit:

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcert.certificate import _automorph
 from latcert.discgroup import (
     DiscriminantGroup,
     SmithDecomposition,
@@ -14,6 +13,7 @@ from latcert.discgroup import (
 from latcert.lattice import GramLattice
 from latcert.matrices import det, from_rows, mat_mul
 from latcert.oracle import brute_action_order
+from latcert.quadform import automorph_generator, primitive_part, to_binary_form
 
 from .conftest import (
     compose,
@@ -169,7 +169,7 @@ class TestActionOrder:
         # group exponent, so testing only divisors of the exponent
         # would not bound action_order
         g = GramLattice.from_rows(rows)
-        m = _automorph(g)
+        m = automorph_generator(primitive_part(to_binary_form(g))[0])
         action = induced_action(g, m)
         assert action.factors == factors
         assert action_order(action) == brute_action_order(g, m) == n

@@ -65,24 +65,9 @@ def test_reports_match_golden():
 
 
 def test_s5_order_divides_two_four_or_six():
-    # Let f(v) = v.G.v have content k, and f0 = f/k discriminant D0.
-    # S3 needs f(h) = 4, so k | 4; G is even, so k is 2 or 4.
-    # G0 = 2G/k is the Gram matrix of the primitive form f0, and G0*J,
-    # J = [[0, 1], [-1, 0]], has trace 0 and det -D0. So phi(sqrt D0) =
-    # G0*J makes Z^2 an invertible module over the order O of
-    # discriminant D0. S5 passes only an M of infinite order, so det M = 1
-    # (in signature (1, 1) det -1 is a reflection); M^-T commutes with
-    # G0*J and is phi(eps), eps = (t + u*sqrt D0)/2 of norm 1. The class
-    # of w in L*/L = G^-1 Z^2 / Z^2 is G*w in Z^2 / G*Z^2, which M maps to
-    # M^-T * G*w, and G*Z^2 = (k/2)*G0*J*Z^2. So L*/L ~ O/((k/2)*sqrt D0),
-    # with M acting as multiplication by eps.
-    # eps - conj(eps) = u*sqrt D0, so eps^2 = eps*conj(eps) = 1 mod sqrt D0:
-    #   k = 2: the order divides 2.
-    #   k = 4, 4 | D0: sqrt D0 is in 2O, and eps^2 = 1 + x*sqrt D0 gives
-    #     eps^4 = 1 + 2x*sqrt D0 + x^2 * D0 = 1 mod 2*sqrt D0.
-    #   k = 4, D0 odd: 2O and sqrt D0 * O are coprime, so by the Chinese
-    #     remainder theorem O / 2*sqrt D0 ~ O/2 x O/sqrt D0, and
-    #     |(O/2O)^x| is 1 (D0 = 1 mod 8) or 3 (D0 = 5 mod 8): eps^6 = 1.
+    # With k the content of v.G.v and D0 the discriminant of v.G.v / k,
+    # n divides 2 (k = 2), 4 (k = 4, 4 | D0) or 6 (k = 4, D0 odd); the
+    # proof is in the docstring of latcert.discgroup.action_order.
     counts = {2: 0, 4: 0, 6: 0}
     for line in GOLDEN.read_text().splitlines():
         entry = json.loads(line)
