@@ -225,16 +225,19 @@ def enumerate_low_degree(
     (the direction vector is orthogonal to h, hence of negative square
     in signature (1,1)), so the window of positive-square points is
     finite and its endpoints are computed exactly.
+
+    Precondition, which S1 and S3 establish: norm(h) > 0 and g has
+    signature (1,1), so the direction has negative square; else
+    ValueError.
     """
+    if norm(g, h) <= 0:
+        raise ValueError("polarization must have positive norm")
     w = mat_vec(g.entries, h)  # inner(C, h) = w . C
     gcd_w = math.gcd(*w)
     direction = (w[1] // gcd_w, -w[0] // gcd_w)
     a_coef = norm(g, direction)
     if a_coef >= 0:
-        raise RuntimeError(
-            "degree window unbounded; lattice violates signature (1,1) "
-            "assumptions established by earlier steps"
-        )
+        raise ValueError("orthogonal direction not negative; signature not (1,1)?")
     _, x0, y0 = quadform._extended_gcd(w[0], w[1])
     # Degree d = scale * gcd_w is the line scale * (x0, y0) + k * direction,
     # on which the square is a_coef*k^2 + scale*b1*k + scale^2*c1.

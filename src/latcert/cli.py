@@ -16,6 +16,7 @@ from . import __version__
 from .certificate import (
     CertificateInput,
     CertificateReport,
+    enumerate_low_degree,
     normalize_polarization,
     report_document,
     run_certificate,
@@ -251,7 +252,7 @@ def cmd_orbit(args) -> int:
 def cmd_enumerate(args) -> int:
     inp, _ = load_document(args.path, args.bound)
     h, _ = normalize_polarization(inp.polarization)  # as S4 lists them
-    classes = brute_low_degree(inp.gram, h, inp.degree_bound)
+    classes = enumerate_low_degree(inp.gram, h, inp.degree_bound)
     if args.format == "json":
         print(json.dumps([c._asdict() for c in classes], sort_keys=True))
     else:

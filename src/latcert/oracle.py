@@ -1,7 +1,7 @@
 """Independent brute-force verifiers.
 
 Every decision procedure in the package must agree with these scans on
-small instances; the CLI exposes them behind --verify and `enumerate`.
+small instances; the CLI runs them only behind `check --verify`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Diophantine kernel for binary quadratic forms of rank-2 lattices.
 
-Representability decisions run as a staged pipeline (content filter,
-congruence filter, Pell-class search with an exact class bound, box
-scans at one root solve per row: O(box), not O(box^2) points) and
-return an honest "unknown" when the search budget is exhausted.
+Representability is decided only for S2's targets 0 and -2, as a
+staged pipeline (content filter, congruence filter, Pell-class search
+with an exact class bound, box scans at one root solve per row: O(box),
+not O(box^2) points) that returns an honest "unknown" when the search
+budget is exhausted.
 """
 
 from __future__ import annotations
@@ -165,17 +166,16 @@ def _attains_mod(a: int, b: int, c: int, t: int, k: int) -> bool:
 
 
 def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
-    """Solve f(x, y) = t != 0 for a primitive form f with a perfect
-    square discriminant s^2.
+    """Solve f(x, y) = t for a primitive form f with a perfect square
+    discriminant s^2 and t in {-1, -2}, the values S2's targets leave
+    after the content filter (-1 on an even lattice).
 
     Such a form factors over Z: 4*a*f = (2ax + (b - s)y)(2ax + (b + s)y),
     and dividing each factor by its content leaves primitive linear
     forms L1, L2 with f = sign(a)*L1*L2 (Gauss's lemma). Every solution
     therefore has L1(x, y) = d1 for a divisor d1 of t, and d1 fixes the
-    solution through a 2x2 linear system. Complete for t != 0, with
-    trial division only up to sqrt(|t|). The divisors are tried by
-    increasing |d1|, positive first, and found only as they are tried,
-    so trial division stops at the first witness.
+    solution through a 2x2 linear system. The divisors of t are among
+    1, -1, 2, -2, tried in that order.
     """
     a, b, c = f.a, f.b, f.c
     if a == 0:
@@ -192,7 +192,9 @@ def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
     ga, de = 2 * a // g2, (b + s) // g2
     det_l = al * de - be * ga
     sign_a = 1 if a > 0 else -1
-    for d1 in _signed_divisors(t):
+    for d1 in (1, -1, 2, -2):
+        if t % d1:
+            continue
         d2 = sign_a * (t // d1)
         x_num, y_num = de * d1 - be * d2, al * d2 - ga * d1
         if x_num % det_l or y_num % det_l:
@@ -201,22 +203,6 @@ def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
         if f.evaluate(x, y) == t:
             return (x, y)
     return None
-
-
-def _signed_divisors(n: int):
-    """The divisors of n != 0 by increasing |d|, each positive first,
-    found by trial division only as far as the caller reads them."""
-    n = abs(n)
-    large = []  # the cofactors n // d above sqrt(n), descending
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            yield d
-            yield -d
-            if d * d != n:
-                large.append(n // d)
-    for d in reversed(large):
-        yield d
-        yield -d
 
 
 def _pell_class_search(
@@ -327,13 +313,16 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def represents_value(
     g: GramLattice, t: int, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> Representation:
-    """Decide whether the rank-2 lattice g represents the integer t.
+    """Decide whether the rank-2 lattice g represents t, one of S2's
+    targets 0 and -2; any other t is a ValueError.
 
     Pipeline: zero criterion / content filter / congruence filter /
     Pell-class search on the primitive part, with a direct box scan
     before conceding "unknown". A rank-2 lattice has signature (1,1)
     exactly when its determinant is negative.
     """
+    if t not in (0, -2):
+        raise ValueError(f"represents_value decides t = 0 and t = -2 only, not {t}")
     if determinant(g) >= 0:
         raise ValueError(
             "representability pipeline requires signature (1,1)"

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from latcert.certificate import (
     MAX_DEGREE_BOUND,
     CertificateInput,
+    check_S4_low_degree,
+    normalize_polarization,
     report_document,
     run_certificate,
 )
@@ -30,8 +33,8 @@ from latcert.cli import (
 from latcert.discgroup import discriminant_group, smith_normal_form
 from latcert.isometry import MAX_K_MAX
 from latcert.lattice import GramLattice
-from latcert.matrices import from_rows, mat_mul
-from latcert.oracle import MAX_BOX_RADIUS
+from latcert.matrices import from_rows, mat_mul, mat_vec
+from latcert.oracle import MAX_BOX_RADIUS, brute_low_degree
 
 from .conftest import (
     HANG_CHECK_N,
@@ -210,8 +213,9 @@ class TestVerify:
 
 
 class TestLowDegreeBoxLimit:
-    """The low-degree oracle scan (check --verify, enumerate) is refused
-    with exit 3 when its box radius would exceed MAX_BOX_RADIUS."""
+    """The low-degree oracle scan of check --verify is refused with exit
+    3 when its box radius would exceed MAX_BOX_RADIUS; enumerate lists
+    S4's exact degree windows and is bounded by MAX_DEGREE_BOUND only."""
 
     # [[4, 0], [0, -96]] (the datum, reduced) in the basis (h, v + 3000*h):
     # det -384, passes check, but degree bound 16 needs a box radius of 3005
@@ -219,20 +223,45 @@ class TestLowDegreeBoxLimit:
         "gram": [[4, 12000], [12000, 35999904]],
         "polarization": [1, 0],
     }
+    # the datum's basis vectors h = (1, 0) and v + 3000*h = (3005, -1),
+    # with v = (5, -1) orthogonal to h
+    FAR_TO_DATUM = ((1, 3005), (0, -1))
 
     def test_enumerate_just_under_limit_runs(self, capsys, data_dir):
-        # radius 199
+        # the oracle's box radius would be 199; enumerate scans no box
         code, out, _ = run_cli(
             capsys, "enumerate", str(data_dir / "gizatullin.json"), "--bound", "390"
         )
         assert code == EXIT_PASS
         assert out.splitlines()[0] == "(1, 0) degree=4 square=4 = 1*h"
 
-    def test_enumerate_over_limit_rejected(self, capsys, data_dir):
-        # radius 206
+    def test_enumerate_past_the_box_limit_lists_what_s4_lists(
+        self, capsys, data_dir
+    ):
+        # the oracle's box radius would be 206
+        path = str(data_dir / "gizatullin.json")
         start = time.perf_counter()
         code, out, err = run_cli(
-            capsys, "enumerate", str(data_dir / "gizatullin.json"), "--bound", "400"
+            capsys, "enumerate", path, "--bound", "400", "--format", "json"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_PASS and err == ""
+        code, doc, _ = run_cli(
+            capsys, "check", path, "--degree-bound", "400", "--format", "json"
+        )
+        s4 = json.loads(doc)["steps"][3]
+        assert json.loads(out) == s4["details"]["classes"]
+        assert len(json.loads(out)) > 3
+
+    def test_verify_over_limit_rejected(self, capsys, data_dir):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            "check",
+            str(data_dir / "gizatullin.json"),
+            "--verify",
+            "--degree-bound",
+            "400",
         )
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_ERROR
@@ -250,6 +279,106 @@ class TestLowDegreeBoxLimit:
         assert code == EXIT_ERROR
         assert out == ""
         assert "radius of 3005" in err
+
+    def test_far_basis_enumerates_the_datums_classes(
+        self, capsys, data_dir, tmp_path
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(self.FAR_BASIS))
+        code, out, _ = run_cli(capsys, "enumerate", str(path), "--format", "json")
+        assert code == EXIT_PASS
+        far = json.loads(out)
+        code, out, _ = run_cli(
+            capsys, "enumerate", str(data_dir / "gizatullin.json"), "--format", "json"
+        )
+        datum = json.loads(out)
+        assert len(far) == len(datum) == 3
+        for c, d in zip(far, datum):
+            assert list(mat_vec(self.FAR_TO_DATUM, c.pop("coords"))) == d.pop("coords")
+            assert c == d
+
+
+class TestEnumerate:
+    """enumerate prints S4's listing, and refuses what S4's
+    precondition refuses."""
+
+    @pytest.mark.parametrize(
+        "gram", [[[4, 1], [1, -1564544606]], [[4, 0], [0, -96]], [[4, 2], [2, -2]]]
+    )
+    def test_bound_1024_lists_what_s4_lists(self, capsys, tmp_path, gram):
+        # 255, 13,329 and 75,527 classes; check would not reach S4 on the
+        # first (S5's automorph search runs long) or the last (S2 fails),
+        # so S4's step function is the reference
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"gram": gram, "polarization": [1, 0]}))
+        s4 = check_S4_low_degree(GramLattice(gram), (1, 0), 1024)
+        classes = s4.details["classes"]
+        argv = ("enumerate", str(path), "--bound", "1024", "--format")
+        code, out, _ = run_under_alarm(1.0, capsys, *argv, "json")
+        assert code == EXIT_PASS
+        assert json.loads(out) == classes
+        code, out, _ = run_under_alarm(1.0, capsys, *argv, "text")
+        assert code == EXIT_PASS
+        lines = out.splitlines()
+        assert len(lines) == len(classes)
+        for line, c in zip(lines, classes):
+            tail = (
+                f" = {c['multiple_of_h']}*h"
+                if c["multiple_of_h"] is not None
+                else " (not a multiple of h)"
+            )
+            coords = tuple(c["coords"])
+            assert line == f"{coords} degree={c['degree']} square={c['square']}{tail}"
+
+    @pytest.mark.parametrize(
+        "gram,polarization,message",
+        [
+            ([[2, 0], [0, 2]], [1, 0], "orthogonal direction not negative"),
+            ([[2, 1], [1, -2]], [0, 1], "polarization must have positive norm"),
+            ([[0, 1], [1, 0]], [1, 0], "polarization must have positive norm"),
+        ],
+    )
+    def test_refusals(self, capsys, tmp_path, gram, polarization, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"gram": gram, "polarization": polarization}))
+        code, out, err = run_cli(capsys, "enumerate", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_equals_the_oracle_within_its_box(self, capsys, tmp_path):
+        # random Grams of either signature, any nonzero h: where the
+        # oracle scans a box of radius <= MAX_BOX_RADIUS, enumerate
+        # prints its classes, and where it refuses, enumerate refuses
+        # with the same message
+        rng = random.Random(2111)
+        path = tmp_path / "doc.json"
+        listed = refused = 0
+        while listed < 150 or refused < 50:
+            a, b, c = (rng.randint(-12, 12) for _ in range(3))
+            h = [rng.randint(-3, 3), rng.randint(-3, 3)]
+            if a * c == b * b or h == [0, 0]:
+                continue
+            g = GramLattice([[a, b], [b, c]])
+            bound = rng.randint(1, 60)
+            hn, _ = normalize_polarization(h)
+            try:
+                classes = brute_low_degree(g, hn, bound)
+                expected = json.loads(json.dumps([x._asdict() for x in classes]))
+            except ValueError as exc:
+                expected = str(exc)
+                if "limit is" in expected:
+                    continue
+            doc = {"gram": [[a, b], [b, c]], "polarization": h}
+            path.write_text(json.dumps(doc))
+            argv = ("enumerate", str(path), "--bound", str(bound), "--format", "json")
+            code, out, err = run_cli(capsys, *argv)
+            if isinstance(expected, str):
+                assert (code, out, err) == (EXIT_ERROR, "", f"error: {expected}\n")
+                refused += 1
+            else:
+                assert (code, json.loads(out)) == (EXIT_PASS, expected), (doc, bound)
+                listed += 1
 
 
 @pytest.mark.parametrize("cmd", ["check", "disc"])

@@ -45,6 +45,19 @@ def test_certificate_does_not_import_oracle():
     assert "oracle" not in package_imports("certificate")
 
 
+def test_cli_runs_the_oracles_only_under_verify():
+    # every other command answers from the pipeline; the oracles referee it
+    oracles = {"brute_values", "brute_low_degree", "brute_action_order"}
+    uses = {}
+    for top in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in oracles:  # a name or an attribute, not the import
+                uses.setdefault(name, set()).add(scope)
+    assert uses == {name: {"_run_verify"} for name in oracles}
+
+
 def test_no_module_imports_fractions():
     # anywhere in the module, a lazy import inside a function included
     for path in sorted(PACKAGE.glob("*.py")):
@@ -207,8 +220,8 @@ LOOP_LEDGER = {
     ("cli", "cmd_disc", "listcomp", 1): ("constant", "<= 2 generators"),
     ("cli", "cmd_disc", "listcomp", 2): ("constant", "2 coordinates"),
     ("cli", "cmd_disc", "for", 1): ("constant", "<= 2 generators"),
-    ("cli", "cmd_enumerate", "listcomp", 1): ("budget", "oracle.MAX_BOX_RADIUS"),
-    ("cli", "cmd_enumerate", "for", 1): ("budget", "oracle.MAX_BOX_RADIUS"),
+    ("cli", "cmd_enumerate", "listcomp", 1): ("budget", "degree_bound"),
+    ("cli", "cmd_enumerate", "for", 1): ("budget", "degree_bound"),
     # stops at the print limit when the entries grow; a matrix of finite
     # order or a parabolic one runs all k_max + 1 steps
     ("cli", "cmd_orbit", "for", 1): ("budget", "isometry.MAX_K_MAX"),
@@ -243,6 +256,7 @@ LOOP_LEDGER = {
     ),
     ("quadform", "_attains_mod", "for", 1): ("budget", "quadform.DEFAULT_MODULI"),
     ("quadform", "_attains_mod", "for", 2): ("budget", "quadform.DEFAULT_MODULI"),
+    ("quadform", "_divisor_search", "for", 1): ("constant", "d1 in 1, -1, 2, -2"),
     ("quadform", "_pell_class_search", "for", 1): ("budget", "search_bound"),
     ("quadform", "_pell_class_search", "for", 2): ("constant", "u, -u"),
     ("quadform", "_int_roots", "setcomp", 1): ("constant", "2 roots"),
@@ -263,11 +277,6 @@ UNBOUNDED = {
     ("quadform", "automorph_generator", "while", 1): "u up to the unit's u",
     # the independent reference for action_order: n <= |L*/L|, a value
     ("oracle", "brute_action_order", "for", 1): "n <= |det G|",
-    # trial division up to sqrt|t|, stopped at the first witness; S2
-    # asks only |t| <= 2
-    ("quadform", "_signed_divisors", "for", 1): "sqrt|t|",
-    ("quadform", "_signed_divisors", "for", 2): "sqrt|t|",
-    ("quadform", "_divisor_search", "for", 1): "divisors of t",
 }
 
 LOOP_KINDS = {
@@ -308,7 +317,7 @@ def test_every_loop_is_in_the_ledger():
     assert sorted(set(found) - LOOP_LEDGER.keys() - UNBOUNDED.keys()) == []
     assert sorted(LOOP_LEDGER.keys() - set(found)) == []
     assert sorted(UNBOUNDED.keys() - set(found)) == []
-    assert len(UNBOUNDED) <= 5  # may only shrink
+    assert len(UNBOUNDED) <= 2  # may only shrink
 
 
 def test_every_budget_names_an_input_field_or_a_module_constant():

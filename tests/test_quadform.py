@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from latcert.quadform import (
     REASON_NONSQUARE_DISC,
     BinaryForm,
     PellSolution,
-    _signed_divisors,
     automorph_generator,
     content,
     pell_fundamental,
@@ -169,15 +167,16 @@ class TestRepresentsValue:
         rep = represents_value(paper_lattice, 0)
         assert rep.status == "no" and rep.reason == REASON_NONSQUARE_DISC
 
-    def test_paper_four(self, paper_lattice):
-        rep = represents_value(paper_lattice, 4)
-        assert rep.status == "yes"
-        assert norm(paper_lattice, rep.witness) == 4
+    @pytest.mark.parametrize("t", [4, 2, -1, 1, -4, 12, 2 * (10**14 + 31)])
+    def test_rejects_targets_other_than_s2s(self, paper_lattice, t):
+        # S2 asks only t = 0 and t = -2
+        with pytest.raises(ValueError, match="t = 0 and t = -2 only"):
+            represents_value(paper_lattice, t)
 
     def test_rejects_definite_form(self):
         g = GramLattice.from_rows([[2, 0], [0, 2]])
-        with pytest.raises(ValueError):
-            represents_value(g, 2)
+        with pytest.raises(ValueError, match="signature"):
+            represents_value(g, -2)
 
     def test_square_discriminant_negative_value(self):
         g = GramLattice.from_rows([[2, 0], [0, -2]])
@@ -188,40 +187,33 @@ class TestRepresentsValue:
     def test_square_discriminant_against_box_oracle(self):
         # every Gram [[2*al*ga, b], [b, 2*be*de]] with b = al*de + be*ga:
         # its form is 2*(al*x + be*y)*(ga*x + de*y)
-        checked = 0
-        for al, be, ga, de in itertools.product(range(-2, 3), repeat=4):
+        grams = set()
+        for al, be, ga, de in itertools.product(range(-3, 4), repeat=4):
             b = al * de + be * ga
-            if b * b - 4 * al * be * ga * de <= 0:
-                continue
-            g = GramLattice.from_rows([[2 * al * ga, b], [b, 2 * be * de]])
-            attained = brute_values(g, 12, tuple(range(-20, 21, 2)))
-            for t in range(-20, 21, 2):
+            if b * b - 4 * al * be * ga * de > 0:
+                grams.add(((2 * al * ga, b), (b, 2 * be * de)))
+        assert len(grams) > 200
+        for rows in grams:
+            g = GramLattice.from_rows(rows)
+            attained = brute_values(g, 12, (0, -2))
+            for t in (0, -2):
                 rep = represents_value(g, t)
                 if rep.status == "yes":
                     assert norm(g, rep.witness) == t
                 else:
                     assert rep.status == "no" and t not in attained
-            checked += 1
-        assert checked > 200
 
-    def test_signed_divisors_by_increasing_size(self):
-        # the divisors come lazily, in the order of the sorted list
-        rng = random.Random(1709)
-        for n in [*range(1, 3001), *(rng.randint(1, 10**9) for _ in range(20))]:
-            divisors = sorted(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
-            divisors = sorted({*divisors, *(n // d for d in divisors)})
-            expected = [s * d for d in divisors for s in (1, -1)]
-            assert list(_signed_divisors(n)) == list(_signed_divisors(-n)) == expected
-
-    def test_square_discriminant_stops_at_the_first_divisor(self):
-        # 2*(x + y)*(x + 2*y) = 2*p: d1 = 1 gives the witness, and trial
-        # division up to sqrt(p) used to take 0.5 s
-        g = GramLattice.from_rows([[2, 3], [3, 4]])
+    def test_square_discriminant_with_huge_entries(self):
+        # 2*(x + n*y)*(x + (n + 1)*y) = -2: the divisor search tries at
+        # most the four divisors of -1, whatever the size of the entries
+        n = 10**14 + 31
+        g = GramLattice.from_rows([[2, 2 * n + 1], [2 * n + 1, 2 * n * (n + 1)]])
         with deadline(0.1, "the divisor search"):
-            rep = represents_value(g, 2 * (10**14 + 31))
-        assert rep.witness == (-100000000000029, 100000000000030)
+            rep = represents_value(g, -2)
+        assert rep.witness == (2 * n + 1, -2)
+        assert norm(g, rep.witness) == -2
 
-    @given(even_indefinite_rank2_strategy(), st.integers(-20, 20))
+    @given(even_indefinite_rank2_strategy(-20, 20), st.sampled_from((0, -2)))
     @settings(max_examples=250, deadline=None)
     def test_agreement_with_box_oracle(self, g, t):
         rep = represents_value(g, t)

@@ -18,8 +18,8 @@ import random
 import pytest
 
 from latcert import quadform
-from latcert.lattice import GramLattice
-from latcert.matrices import from_rows
+from latcert.lattice import GramLattice, norm
+from latcert.matrices import from_rows, mat_mul, transpose
 from latcert.quadform import (
     REASON_CONGRUENCE,
     REASON_CONTENT,
@@ -31,7 +31,7 @@ from latcert.quadform import (
 )
 
 REF_MODULI = (3, 5, 8, 16)
-T_VALUES = (0, 1, -1, 2, -2, 4, -4, -6, 12)
+T_VALUES = (0, -2)  # S2's targets, the only ones represents_value takes
 UNIMODULAR_BOX = 20
 FALLBACK_BOX = 50
 # the most _int_roots calls one query may make: two per scanned row of
@@ -344,19 +344,31 @@ class TestRepresentsValue:
         assert_same_representations(grams, T_VALUES)
 
     def test_huge_grams_with_box_witness_match_reference(self):
-        # t = f(x, y) at a point of the box-50 scan; the scan has to
-        # return the first witness in its order, not just any witness
+        # [[-2, b], [b, 2c]] in a basis that moves e1 to a point w of the
+        # box-50 scan: norm -2 at w and, b and c being huge, at -w only.
+        # Past the box-20 search the box-50 scan has to return the first
+        # witness in its order, not just any witness. Inside it, w leads
+        # to the Pell-class search, whose reference would need the whole
+        # unit of a discriminant near 10^24, so only the witness is checked.
         rng = random.Random(86)
-        for rows in seeded_grams(87, 80, 5 * 10**11, 10**12):
-            g = GramLattice.from_rows(rows)
-            f = quadform.to_binary_form(g)
+        past_box_20 = 0
+        while past_box_20 < 80:
+            b = rng.randint(-(10**12), 10**12)
+            c = rng.randint(1, 10**12)
             x, y = rng.randint(-50, 50), rng.randint(-50, 50)
-            t = f.evaluate(x, y)
-            if t == 0:
+            g0, q, p = quadform._extended_gcd(x, y)
+            if g0 != 1:
                 continue
-            got = represents_value(g, t)
-            assert got == ref_represents_value(g, t), (rows, t)
-            assert got.status == "yes"
+            # P = [[x, -p], [y, q]]^-1 maps w = (x, y) to e1
+            pm = from_rows([[q, p], [-y, x]])
+            rows = mat_mul(transpose(pm), mat_mul(((-2, b), (b, 2 * c)), pm))
+            g = GramLattice.from_rows(rows)
+            assert norm(g, (x, y)) == -2
+            got = represents_value(g, -2)
+            assert got.status == "yes" and norm(g, got.witness) == -2
+            if max(abs(x), abs(y)) > UNIMODULAR_BOX:
+                assert got == ref_represents_value(g, -2), (rows, (x, y))
+                past_box_20 += 1
 
     def test_census_window_matches_reference_within_root_budget(
         self, monkeypatch
