@@ -27,10 +27,10 @@ from .lattice import GramLattice, norm
 from .matrices import from_rows
 from .oracle import (
     DEFAULT_BOX_RADIUS,
-    MAX_BOX_RADIUS,
     brute_action_order,
     brute_low_degree,
     brute_values,
+    required_values_radius,
 )
 from .quadform import pell_fundamental
 
@@ -39,16 +39,14 @@ EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
-_DOCUMENT_FIELDS = {*CertificateInput._fields, "box_radius"}
-
 
 class DocumentError(ValueError):
     pass
 
 
-def load_document(path: str, degree_bound: Optional[int] = None):
-    """(CertificateInput, box_radius) of a document, with the JSON checks
-    only: GramLattice and CertificateInput own the field rules, integer
+def load_document(path: str, degree_bound: Optional[int] = None) -> CertificateInput:
+    """The CertificateInput of a document, with the JSON checks only:
+    GramLattice and CertificateInput own the field rules, integer
     entries included, and the defaults. A degree bound given on the
     command line overrides the document's."""
     try:
@@ -60,7 +58,7 @@ def load_document(path: str, degree_bound: Optional[int] = None):
         raise DocumentError(f"malformed JSON in input document: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("input document must be a JSON object")
-    unknown = set(raw) - _DOCUMENT_FIELDS
+    unknown = set(raw) - set(CertificateInput._fields)
     if unknown:
         raise DocumentError(
             f"unknown field(s) in input document: {', '.join(sorted(unknown))}"
@@ -75,36 +73,32 @@ def load_document(path: str, degree_bound: Optional[int] = None):
     try:
         gram = GramLattice(raw["gram"])  # a bad gram is reported first
         isometry = raw.get("isometry")
-        inp = CertificateInput(gram, raw["polarization"], isometry, **bounds)
+        return CertificateInput(gram, raw["polarization"], isometry, **bounds)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    box_radius = raw.get("box_radius", DEFAULT_BOX_RADIUS)
-    if type(box_radius) is not int or box_radius < 1:  # refuses true and false
-        raise DocumentError("field box_radius must be a positive integer")
-    if box_radius > MAX_BOX_RADIUS:
-        raise DocumentError(f"field box_radius must be at most {MAX_BOX_RADIUS}")
-    return inp, box_radius
 
 
-def _run_verify(
-    inp: CertificateInput, report: CertificateReport, box_radius: int
-) -> dict:
+def _run_verify(inp: CertificateInput, report: CertificateReport) -> dict:
     """Cross-check the pipeline against the brute-force oracles."""
     g = inp.gram
     out = {}
 
-    values = brute_values(g, box_radius, targets=(0, -2))
-    oracle_hits = {t: values[t] for t in (0, -2) if t in values}
+    # complete: the box holds a witness of each target g represents
+    radii = [required_values_radius(g, t) for t in (0, -2)]
+    complete = None not in radii
+    radius = max(radii) if complete else DEFAULT_BOX_RADIUS
+    values = brute_values(g, radius, targets=(0, -2))
     s2 = report.step("S2")
-    # A box scan can only refute a pass; a pipeline witness must
-    # have its target norm wherever it lies.
-    agree = not (oracle_hits and s2.status == "pass") and all(
+    # a pipeline witness must have its target norm wherever it lies
+    agree = not (values and s2.status == "pass") and all(
         norm(g, w["vector"]) == w["target"] for w in s2.witness or ()
     )
+    confirmed = complete and s2.status == "pass"
     out["values_box_scan"] = {
-        "status": "agree" if agree else "mismatch",
-        "box_radius": box_radius,
-        "witnesses": {str(t): list(v) for t, v in oracle_hits.items()},
+        "status": "mismatch" if not agree else "confirmed" if confirmed else "agree",
+        "box_radius": radius,
+        "complete": complete,
+        "witnesses": {str(t): list(v) for t, v in values.items()},
     }
 
     s4 = report.step("S4")
@@ -156,11 +150,11 @@ def _emit(doc: dict, fmt: str) -> None:
 
 
 def cmd_check(args) -> int:
-    inp, box_radius = load_document(args.path, args.degree_bound)
+    inp = load_document(args.path, args.degree_bound)
     report = run_certificate(inp)
     out = report_document(inp, report)
     if args.verify:
-        out["verify"] = _run_verify(inp, report, box_radius)
+        out["verify"] = _run_verify(inp, report)
         if any(v["status"] == "mismatch" for v in out["verify"].values()):
             out["verdict"] = "fail"
     _emit(out, args.format)
@@ -192,7 +186,7 @@ def cmd_pell(args) -> int:
 
 
 def cmd_disc(args) -> int:
-    group = discriminant_group(load_document(args.path)[0].gram)
+    group = discriminant_group(load_document(args.path).gram)
     gens = [[ratio(x, group.scale) for x in c] for c in group.columns]
     if args.format == "json":
         print(
@@ -214,7 +208,7 @@ def cmd_disc(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    inp, _ = load_document(args.path)
+    inp = load_document(args.path)
     m = inp.isometry
     if m is None:
         raise DocumentError("orbit requires an isometry in the document")
@@ -250,19 +244,23 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    inp, _ = load_document(args.path, args.bound)
+    inp = load_document(args.path, args.bound)
     h, _ = normalize_polarization(inp.polarization)  # as S4 lists them
     classes = enumerate_low_degree(inp.gram, h, inp.degree_bound)
+    # streamed; byte for byte json.dumps([c._asdict() ...], sort_keys=True)
     if args.format == "json":
-        print(json.dumps([c._asdict() for c in classes], sort_keys=True))
+        print("[", end="")
+        sep = ""
+        for (x, y), d, sq, k in classes:
+            k = "null" if k is None else k
+            row = f'"coords": [{x}, {y}], "degree": {d}, "multiple_of_h": {k}'
+            print(f'{sep}{{{row}, "square": {sq}}}', end="")
+            sep = ", "
+        print("]")
     else:
-        for c in classes:
-            tail = (
-                f" = {c.multiple_of_h}*h"
-                if c.multiple_of_h is not None
-                else " (not a multiple of h)"
-            )
-            print(f"{c.coords} degree={c.degree} square={c.square}{tail}")
+        for (x, y), d, sq, k in classes:
+            tail = " (not a multiple of h)" if k is None else f" = {k}*h"
+            print(f"({x}, {y}) degree={d} square={sq}{tail}")
     return EXIT_PASS
 
 

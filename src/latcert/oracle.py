@@ -1,7 +1,10 @@
 """Independent brute-force verifiers.
 
 Every decision procedure in the package must agree with these scans on
-small instances; the CLI runs them only behind `check --verify`.
+small instances; the CLI runs them only behind `check --verify`. The
+scans are complete where a radius is derived for them: S4's classes
+lie in the box `required_box_radius` gives, and S2's values 0 and -2,
+when represented at all, in the box `required_values_radius` gives.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ from .matrices import (
     transpose,
 )
 
+# The radius of the refute-only value scan, where required_values_radius
+# derives none.
 DEFAULT_BOX_RADIUS = 50
-# Largest box radius a document or brute_low_degree may use; the
-# low-degree scan of that box visits 161,201 points.
+# Largest box radius brute_low_degree scans or required_values_radius
+# gives; the low-degree scan of that box visits 161,201 points.
 MAX_BOX_RADIUS = 200
+# Largest u the value referee tries in s^2 - D*u^2 = 4.
+UNIT_SEARCH_CAP = 10_000
 
 
 def brute_values(
@@ -71,6 +78,71 @@ def _ceil_sqrt_ratio(num: int, den: int) -> int:
     if s * s < num * den:
         s += 1
     return -(-s // den)
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def required_values_radius(g: GramLattice, t: int) -> Optional[int]:
+    """A box radius r <= MAX_BOX_RADIUS such that g represents t if and
+    only if brute_values(g, r, (t,)) finds t, or None where the proof
+    below gives no such r.
+
+    Write f(x, y) = norm(g, (x, y)) = k*(a*x^2 + b*x*y + c*y^2) with
+    content k, and D = -4*det G = k^2 * D0.
+    - t = 0: f has a nontrivial zero iff D is a square. A nonsquare D
+      gives 1, as no box holds a zero; a square D gives None.
+    - t != 0 and k does not divide t: t is not represented; 1.
+    - Otherwise f = t iff f0 = (a, b, c) takes the value m = t/k. For a
+      positive nonsquare D0, let (s, u) be the least solution with
+      u >= 1 of s^2 - D0*u^2 = 4, found by a linear search in u up to
+      UNIT_SEARCH_CAP (None past it); the search stops early, with None,
+      where the box would be wider than MAX_BOX_RADIUS. Any solution
+      would do; the least gives the smallest box. A definite or square
+      D0 gives None.
+
+    Proof of the box (Buchmann & Vollmer, Binary Quadratic Forms,
+    ch. 6). As D0 is not a square, a != 0. Put
+        xi = a*x + (b + sqrt D0)/2 * y,   xi' = a*x + (b - sqrt D0)/2 * y,
+    so that xi*xi' = a*f0(x, y), and a solution has xi*xi' = a*m != 0.
+    The matrix A = [[(s - b*u)/2, -c*u], [a*u, (s + b*u)/2]] is integral
+    (s^2 = b^2*u^2 mod 4, so s = b*u mod 2) with determinant 1. It maps
+    xi to eps*xi and xi' to xi'/eps, with eps = (s + u*sqrt D0)/2, so it
+    preserves f0 = xi*xi'/a; and 1 < eps < s, as u*sqrt D0 < s. A power
+    of A or of its inverse thus takes any solution to a solution with
+    1/eps <= |xi/xi'| < eps, where |xi|, |xi'| <= sqrt(eps*N) < sqrt(s*N)
+    with N = |a*m|. From sqrt(D0)*y = xi - xi' and 2a*x = xi + xi' - b*y,
+        |y| < 2*sqrt(s*N/D0),   |x| < (sqrt(s*N) + |b|*sqrt(s*N/D0))/|a|,
+    and r is the larger bound, each square root rounded up in integers.
+    """
+    (a, b), (_, c) = g.entries  # f = a*x^2 + 2b*x*y + c*y^2
+    disc = 4 * (b * b - a * c)
+    if t == 0:
+        return None if _is_square(disc) else 1
+    k = math.gcd(a, 2 * b, c)
+    if t % k:
+        return 1
+    a, b, m, disc = a // k, 2 * b // k, t // k, disc // (k * k)
+    if disc <= 0 or _is_square(disc):
+        return None
+    n = abs(a * m)
+    # The box grows with s and, past s_max, is wider than MAX_BOX_RADIUS
+    # by the bound on x alone or on y alone; so is every u past u_max.
+    s_max = min(MAX_BOX_RADIUS**2 * a * a // n, MAX_BOX_RADIUS**2 * disc // (4 * n))
+    u_max = math.isqrt(max(s_max * s_max - 4, 0) // disc)
+    for u in range(1, min(u_max, UNIT_SEARCH_CAP) + 1):
+        square = disc * u * u + 4
+        s = math.isqrt(square)
+        if s * s == square:
+            break
+    else:
+        return None
+    sn = s * n
+    y = _ceil_sqrt_ratio(4 * sn, disc)
+    x = -(-(_ceil_sqrt_ratio(sn, 1) + abs(b) * _ceil_sqrt_ratio(sn, disc)) // abs(a))
+    radius = max(x, y)
+    return radius if radius <= MAX_BOX_RADIUS else None
 
 
 def required_box_radius(g: GramLattice, h: Vector, bound: int) -> int:

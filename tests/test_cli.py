@@ -17,6 +17,7 @@ from latcert.certificate import (
     MAX_DEGREE_BOUND,
     CertificateInput,
     check_S4_low_degree,
+    enumerate_low_degree,
     normalize_polarization,
     report_document,
     run_certificate,
@@ -34,11 +35,12 @@ from latcert.discgroup import discriminant_group, smith_normal_form
 from latcert.isometry import MAX_K_MAX
 from latcert.lattice import GramLattice
 from latcert.matrices import from_rows, mat_mul, mat_vec
-from latcert.oracle import MAX_BOX_RADIUS, brute_low_degree
+from latcert.oracle import DEFAULT_BOX_RADIUS, MAX_BOX_RADIUS, brute_low_degree
 
 from .conftest import (
     HANG_CHECK_N,
     HANG_ORBIT_T,
+    PAPER_GRAM,
     deadline,
     mat_pow,
     nondegenerate_lattices,
@@ -177,39 +179,55 @@ class TestVerify:
         code, report = self._check_verify(capsys, tmp_path, doc)
         assert code == EXIT_PASS
         assert report["verdict"] == "pass"
-        assert all(v["status"] == "agree" for v in report["verify"].values())
-
-    def test_box_radius_at_limit_runs(self, capsys, tmp_path):
-        doc = {
-            "gram": [[4, 20], [20, 4]],
-            "polarization": [1, 0],
-            "isometry": [[10, 1], [-1, 0]],
-            "box_radius": MAX_BOX_RADIUS,
+        statuses = {k: v["status"] for k, v in report["verify"].items()}
+        assert statuses == {
+            "values_box_scan": "confirmed",
+            "low_degree_enumeration": "agree",
+            "disc_action_order": "agree",
         }
-        code, report = self._check_verify(capsys, tmp_path, doc)
-        assert code == EXIT_PASS
-        scan = report["verify"]["values_box_scan"]
-        assert scan == {
-            "status": "agree",
-            "box_radius": MAX_BOX_RADIUS,
+
+    @pytest.mark.parametrize(
+        "gram, radius, complete, status, code",
+        [
+            # content 4: -2 is not represented, and 1 is the least radius
+            ([[4, 20], [20, 4]], 1, True, "confirmed", EXIT_PASS),
+            # content 2: the box the unit s^2 - 40u^2 = 4, (s, u) = (38, 6), gives
+            ([[4, 0], [0, -10]], 5, True, "confirmed", EXIT_FAIL),
+            # complete, but S2 answers "unknown", so there is no pass to confirm
+            ([[4, 0], [0, -82]], 13, True, "agree", EXIT_UNKNOWN),
+            # the derived box is wider than MAX_BOX_RADIUS: refute-only scan
+            ([[4, 0], [0, -94]], DEFAULT_BOX_RADIUS, False, "agree", EXIT_PASS),
+        ],
+    )
+    def test_values_box_scan_radius_is_derived(
+        self, capsys, tmp_path, gram, radius, complete, status, code
+    ):
+        doc = {"gram": gram, "polarization": [1, 0]}
+        got, report = self._check_verify(capsys, tmp_path, doc)
+        assert got == code
+        assert report["verify"]["values_box_scan"] == {
+            "status": status,
+            "box_radius": radius,
+            "complete": complete,
             "witnesses": {},
         }
 
-    def test_box_radius_over_limit_rejected(self, capsys, tmp_path):
+    def test_box_radius_field_rejected(self, capsys, tmp_path):
+        # the scan's radius is derived, so a document may no longer set it
         path = tmp_path / "doc.json"
         path.write_text(
             json.dumps(
                 {
                     "gram": [[4, 20], [20, 4]],
                     "polarization": [1, 0],
-                    "box_radius": MAX_BOX_RADIUS + 1,
+                    "box_radius": 50,
                 }
             )
         )
         code, out, err = run_cli(capsys, "check", str(path), "--verify")
         assert code == EXIT_ERROR
         assert out == ""
-        assert f"box_radius must be at most {MAX_BOX_RADIUS}" in err
+        assert "unknown field(s) in input document: box_radius" in err
 
 
 class TestLowDegreeBoxLimit:
@@ -329,6 +347,17 @@ class TestEnumerate:
             )
             coords = tuple(c["coords"])
             assert line == f"{coords} degree={c['degree']} square={c['square']}{tail}"
+
+    @pytest.mark.parametrize("bound", ["1", "16", "400"])
+    def test_json_is_json_dumps_byte_for_byte(self, capsys, data_dir, bound):
+        # the classes are printed one by one, never held as one string
+        path = str(data_dir / "gizatullin.json")
+        argv = ("enumerate", path, "--bound", bound, "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_PASS
+        classes = enumerate_low_degree(GramLattice(PAPER_GRAM), (1, 0), int(bound))
+        assert out == json.dumps([c._asdict() for c in classes], sort_keys=True) + "\n"
+        assert (len(classes) > 0) == (bound != "1")
 
     @pytest.mark.parametrize(
         "gram,polarization,message",
@@ -817,31 +846,28 @@ class TestDocumentValidation:
             load_document(str(doc))
 
     def test_returns_the_input_of_the_document_literal(self, data_dir):
-        inp, box_radius = load_document(str(data_dir / "gizatullin.json"))
-        assert inp == CertificateInput(
+        assert load_document(str(data_dir / "gizatullin.json")) == CertificateInput(
             gram=GramLattice.from_rows([[4, 20], [20, 4]]),
             polarization=(1, 0),
             isometry=((10, 1), (-1, 0)),
             degree_bound=16,
         )
-        assert box_radius == 50
 
-    def test_box_radius_and_degree_bound_override(self, tmp_path):
+    def test_degree_bound_override(self, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_text(
             '{"gram": [[4, 20], [20, 4]], "polarization": [1, 0], '
-            '"degree_bound": 8, "search_bound": 7, "box_radius": 9}'
+            '"degree_bound": 8, "search_bound": 7}'
         )
-        inp, box_radius = load_document(str(doc), degree_bound=5)
-        assert (inp.degree_bound, inp.search_bound, box_radius) == (5, 7, 9)
+        inp = load_document(str(doc), degree_bound=5)
+        assert (inp.degree_bound, inp.search_bound) == (5, 7)
 
-    @pytest.mark.parametrize("key", ["degree_bound", "search_bound", "box_radius"])
+    @pytest.mark.parametrize("key", ["degree_bound", "search_bound"])
     @pytest.mark.parametrize("value", ["true", "false", "1.0", '"1"'])
     def test_bound_that_is_not_an_integer_rejected(
         self, capsys, tmp_path, key, value
     ):
-        # "degree_bound": true used to run as bound 1, and "box_radius":
-        # true scanned radius 1 and was echoed as true in the verify block
+        # "degree_bound": true used to run as bound 1
         path = tmp_path / "doc.json"
         path.write_text(
             '{"gram": [[4, 20], [20, 4]], "polarization": [1, 0], '

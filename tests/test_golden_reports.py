@@ -139,7 +139,6 @@ def write_golden():
     ]
     for path in sorted(DATA_DIR.glob("*.json")):
         doc = json.loads(path.read_text())
-        doc.pop("box_radius", None)
         entries.append(("document", doc))
     for doc in _census_window():
         ms = _best_of_three_ms(doc)

@@ -47,7 +47,12 @@ def test_certificate_does_not_import_oracle():
 
 def test_cli_runs_the_oracles_only_under_verify():
     # every other command answers from the pipeline; the oracles referee it
-    oracles = {"brute_values", "brute_low_degree", "brute_action_order"}
+    oracles = {
+        "brute_values",
+        "brute_low_degree",
+        "brute_action_order",
+        "required_values_radius",
+    }
     uses = {}
     for top in ast.parse((PACKAGE / "cli.py").read_text()).body:
         scope = getattr(top, "name", "<module>")
@@ -208,9 +213,9 @@ LOOP_LEDGER = {
     ("certificate", "run_certificate", "for", 1): ("constant", "5 steps"),
     ("certificate", "report_document", "listcomp", 1): ("constant", "5 steps"),
     ("cli", "load_document", "dictcomp", 1): ("constant", "2 bounds"),
-    ("cli", "_run_verify", "dictcomp", 1): ("constant", "t = 0, -2"),
+    ("cli", "_run_verify", "listcomp", 1): ("constant", "t = 0, -2"),
     ("cli", "_run_verify", "genexp", 1): ("constant", "<= 2 S2 witnesses"),
-    ("cli", "_run_verify", "dictcomp", 2): ("constant", "t = 0, -2"),
+    ("cli", "_run_verify", "dictcomp", 1): ("constant", "t = 0, -2"),
     ("cli", "_run_verify", "setcomp", 1): ("budget", "degree_bound"),
     ("cli", "_run_verify", "setcomp", 2): ("budget", "oracle.MAX_BOX_RADIUS"),
     ("cli", "_emit", "for", 1): ("constant", "5 steps"),
@@ -220,8 +225,8 @@ LOOP_LEDGER = {
     ("cli", "cmd_disc", "listcomp", 1): ("constant", "<= 2 generators"),
     ("cli", "cmd_disc", "listcomp", 2): ("constant", "2 coordinates"),
     ("cli", "cmd_disc", "for", 1): ("constant", "<= 2 generators"),
-    ("cli", "cmd_enumerate", "listcomp", 1): ("budget", "degree_bound"),
     ("cli", "cmd_enumerate", "for", 1): ("budget", "degree_bound"),
+    ("cli", "cmd_enumerate", "for", 2): ("budget", "degree_bound"),
     # stops at the print limit when the entries grow; a matrix of finite
     # order or a parabolic one runs all k_max + 1 steps
     ("cli", "cmd_orbit", "for", 1): ("budget", "isometry.MAX_K_MAX"),
@@ -245,6 +250,11 @@ LOOP_LEDGER = {
     ("oracle", "brute_values", "for", 2): ("budget", "oracle.MAX_BOX_RADIUS"),
     ("oracle", "_first_y", "listcomp", 1): ("constant", "2 roots"),
     ("oracle", "_first_y", "genexp", 1): ("constant", "<= 2 roots"),
+    # the value referee's linear search for the unit of s^2 - D*u^2 = 4
+    ("oracle", "required_values_radius", "for", 1): (
+        "budget",
+        "oracle.UNIT_SEARCH_CAP",
+    ),
     ("oracle", "required_box_radius", "genexp", 1): ("constant", "2 coordinates"),
     ("oracle", "brute_low_degree", "for", 1): ("budget", "oracle.MAX_BOX_RADIUS"),
     ("oracle", "brute_low_degree", "for", 2): ("budget", "oracle.MAX_BOX_RADIUS"),
