@@ -76,7 +76,9 @@ class CertificateInput(_InputFields):
 
     def __new__(cls, *args, **kwargs):  # every command's input rules
         self = super().__new__(cls, *args, **kwargs)
-        h, m = self.polarization, self.isometry
+        g, h, m = self[:3]
+        if not isinstance(g, GramLattice):
+            g = GramLattice(g)  # a bad gram is reported first
         if not is_integer_array(h, 1):
             raise ValueError("field polarization must be an integer array")
         if m is not None and not is_integer_array(m, 2):
@@ -97,7 +99,7 @@ class CertificateInput(_InputFields):
         if self.search_bound < 1:
             raise ValueError("search_bound must be >= 1")
         m = None if m is None else from_rows(m)  # lists are stored as tuples
-        return super().__new__(cls, self.gram, tuple(h), m, *self[3:])
+        return super().__new__(cls, g, tuple(h), m, *self[3:])
 
 
 class _StepFields(NamedTuple):
@@ -224,7 +226,9 @@ def enumerate_low_degree(
     integer points; along that line the square is a downward parabola
     (the direction vector is orthogonal to h, hence of negative square
     in signature (1,1)), so the window of positive-square points is
-    finite and its endpoints are computed exactly.
+    finite and its endpoints are computed exactly. The classes come in
+    (degree, coords) order: the lines in ascending degree, and each line
+    walked along a lexicographically positive direction.
 
     Precondition, which S1 and S3 establish: norm(h) > 0 and g has
     signature (1,1), so the direction has negative square; else
@@ -235,6 +239,8 @@ def enumerate_low_degree(
     w = mat_vec(g.entries, h)  # inner(C, h) = w . C
     gcd_w = math.gcd(*w)
     direction = (w[1] // gcd_w, -w[0] // gcd_w)
+    if direction < (0, 0):  # k ascending walks each line in coordinate order
+        direction = (-direction[0], -direction[1])
     a_coef = norm(g, direction)
     if a_coef >= 0:
         raise ValueError("orthogonal direction not negative; signature not (1,1)?")
@@ -257,7 +263,6 @@ def enumerate_low_degree(
                 continue
             c = (bx + k * direction[0], by + k * direction[1])
             out.append(LowDegreeClass(c, d, square, multiple_of(c, h)))
-    out.sort(key=lambda cls: (cls.degree, cls.coords))
     return out
 
 

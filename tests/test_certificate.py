@@ -41,6 +41,7 @@ from .conftest import (
 GOLDEN_REPORTS = DATA_DIR.parent / "tests" / "golden" / "reports.jsonl"
 POLARIZATION_TYPE = "field polarization must be an integer array"
 ISOMETRY_TYPE = "field isometry must be a 2D integer array"
+GRAM_TYPE = "field gram must be a 2D integer array"
 
 
 class TestS1:
@@ -417,6 +418,15 @@ class TestRunCertificate:
             ({"degree_bound": True}, "field degree_bound must be a positive integer"),
             ({"degree_bound": 16.0}, "field degree_bound must be a positive integer"),
             ({"search_bound": "1000"}, "field search_bound must be a positive integer"),
+            # a gram left as given made run_certificate die with AttributeError
+            ({"gram": "x"}, GRAM_TYPE),
+            ({"gram": None}, GRAM_TYPE),
+            ({"gram": [[True, 20], [20, 4]]}, GRAM_TYPE),
+            ({"gram": [[4.0, 20], [20, 4]]}, GRAM_TYPE),
+            ({"gram": [["4", 20], [20, 4]]}, GRAM_TYPE),
+            ({"gram": [[4, 20, 0], [20, 4, 0], [0, 0, 2]]}, "must be 2x2"),
+            ({"gram": [[4, 20], [21, 4]]}, "not symmetric"),
+            ({"gram": [[2, 2], [2, 2]]}, "degenerate"),
         ],
     )
     def test_every_construction_path_validates_input(
@@ -425,6 +435,21 @@ class TestRunCertificate:
         valid = CertificateInput(gram=paper_lattice, polarization=(1, 0))
         with pytest.raises(ValueError, match=message):
             rebuild(path, valid, **change)
+
+    @pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+    @pytest.mark.parametrize("rows", [[[4, 20], [20, 4]], ((4, 20), (20, 4))])
+    def test_gram_rows_become_a_gram_lattice(self, paper_lattice, sigma, path, rows):
+        valid = CertificateInput(paper_lattice, (1, 0), sigma)
+        inp = rebuild(path, valid, gram=rows)
+        assert inp == valid and type(inp.gram) is GramLattice
+        assert run_certificate(inp) == run_certificate(valid)
+
+    def test_gram_lattice_is_kept_as_it_is(self, paper_lattice):
+        assert CertificateInput(paper_lattice, (1, 0)).gram is paper_lattice
+
+    def test_bad_gram_is_reported_before_the_other_fields(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            CertificateInput([[2, 2], [2, 2]], (0, 0), degree_bound=0)
 
     def test_lists_are_stored_as_tuples(self, paper_lattice, sigma):
         # S5 compares the tuple M*h with h, which a list h never equals

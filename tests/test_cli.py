@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latcert import quadform
 from latcert.certificate import (
     MAX_DEGREE_BOUND,
     CertificateInput,
@@ -38,6 +39,7 @@ from latcert.matrices import from_rows, mat_mul, mat_vec
 from latcert.oracle import DEFAULT_BOX_RADIUS, MAX_BOX_RADIUS, brute_low_degree
 
 from .conftest import (
+    DATA_DIR,
     HANG_CHECK_N,
     HANG_ORBIT_T,
     PAPER_GRAM,
@@ -111,6 +113,23 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(bad))
         assert code == EXIT_ERROR
         assert "malformed JSON" in err
+
+    def test_integer_past_the_digit_limit_is_malformed_json(self, capsys, tmp_path):
+        # json.load raises a plain ValueError, not a JSONDecodeError, for
+        # an integer literal longer than the interpreter's limit
+        bad = tmp_path / "long.json"
+        bad.write_text(
+            '{"gram": [[4, 20], [20, ' + "1" * 4301 + ']], "polarization": [1, 0]}'
+        )
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_cli(capsys, "check", str(bad))
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: malformed JSON in input document: ")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "check", str(tmp_path / "nope.json"))
@@ -211,6 +230,25 @@ class TestVerify:
             "complete": complete,
             "witnesses": {},
         }
+
+    def test_wrong_no_at_one_target_is_a_mismatch_when_s2_fails(
+        self, capsys, data_dir, monkeypatch
+    ):
+        # S2 fails at t = 0 either way, so a wrong "no" at t = -2 showed
+        # only if each target the box finds is held against S2's answer
+        honest = quadform.represents_value
+
+        def wrong_at_minus_two(g, t, search_bound):
+            if t == -2:
+                return quadform.Representation("no")
+            return honest(g, t, search_bound)
+
+        monkeypatch.setattr(quadform, "represents_value", wrong_at_minus_two)
+        code, out, _ = run_cli(
+            capsys, "check", str(data_dir / "hyperbolic_plane.json"), "--verify"
+        )
+        assert code == EXIT_FAIL
+        assert "verify values_box_scan: mismatch" in out
 
     def test_box_radius_field_rejected(self, capsys, tmp_path):
         # the scan's radius is derived, so a document may no longer set it
@@ -852,6 +890,50 @@ class TestDocumentValidation:
             isometry=((10, 1), (-1, 0)),
             degree_bound=16,
         )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [json.loads((DATA_DIR / name).read_text()) for name in BUNDLED]
+        + [
+            {"gram": gram, "polarization": [1, 0]}
+            for gram in (
+                "x",
+                [[4, 20], [20]],
+                [[4.0, 20], [20, 4]],
+                [[True, 20], [20, 4]],
+                [[4, 20], [21, 4]],
+                [[2, 2], [2, 2]],
+                [[4, 20, 0], [20, 4, 0], [0, 0, 2]],
+            )
+        ]
+        + [
+            {"gram": [[4, 20], [20, 4]], "polarization": [1, 0], **field}
+            for field in (
+                {"polarization": [0, 0]},
+                {"polarization": [1, 0, 0]},
+                {"polarization": ["1", 0]},
+                {"isometry": [[10, 1], [-1]]},
+                {"isometry": [[10, 1], [-1, 0.0]]},
+                {"degree_bound": True},
+                {"degree_bound": 0},
+                {"degree_bound": 2000},
+                {"search_bound": "1000"},
+                {"gram": [[2, 2], [2, 2]], "polarization": [0, 0]},
+            )
+        ],
+    )
+    def test_library_and_document_share_the_field_rules(self, tmp_path, doc):
+        # past the JSON-object rules, load_document is CertificateInput
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return str(exc)
+
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        expected = outcome(lambda: CertificateInput(**doc))
+        assert outcome(lambda: load_document(str(path))) == expected
 
     def test_degree_bound_override(self, tmp_path):
         doc = tmp_path / "doc.json"

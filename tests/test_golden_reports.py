@@ -22,8 +22,6 @@ import sys
 import time
 
 from latcert.certificate import CertificateInput, report_document, run_certificate
-from latcert.lattice import GramLattice
-from latcert.matrices import from_rows
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "reports.jsonl"
@@ -36,17 +34,8 @@ CENSUS_DET_MAX = 1200
 CENSUS_MS = 50
 
 
-def certificate_input(doc):
-    return CertificateInput(
-        gram=GramLattice.from_rows(doc["gram"]),
-        polarization=tuple(doc["polarization"]),
-        isometry=from_rows(doc["isometry"]) if doc.get("isometry") else None,
-        **{k: doc[k] for k in ("degree_bound", "search_bound") if k in doc},
-    )
-
-
 def report_without_timing(doc):
-    inp = certificate_input(doc)
+    inp = CertificateInput(**doc)
     report = report_document(inp, run_certificate(inp))
     del report["timing"]
     return json.loads(json.dumps(report))
@@ -112,7 +101,7 @@ def _best_of_three_ms(doc):
     def alarm(*_):
         raise TooLong
 
-    inp = certificate_input(doc)
+    inp = CertificateInput(**doc)
     best = None
     previous = signal.signal(signal.SIGALRM, alarm)
     try:

@@ -1,6 +1,7 @@
 """Structural checks: the oracles stay independent of the pipeline they
-verify, every function the benchmark tracer wraps exists and is loaded
-by `import latcert.cli`, the CLI's import path stays lean, the package
+verify, the CLI leaves the Gram matrix to `CertificateInput`, every
+function the benchmark tracer wraps exists and is loaded by
+`import latcert.cli`, the CLI's import path stays lean, the package
 computes in integers only (no `fractions`), every record type's
 annotations resolve, scripts/reproduce.py keeps its committed output,
 and every loop has an entry in the loop ledger."""
@@ -61,6 +62,15 @@ def test_cli_runs_the_oracles_only_under_verify():
             if name in oracles:  # a name or an attribute, not the import
                 uses.setdefault(name, set()).add(scope)
     assert uses == {name: {"_run_verify"} for name in oracles}
+
+
+def test_cli_leaves_the_gram_to_certificate_input():
+    # CertificateInput builds the GramLattice, so the CLI never names it
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "GramLattice" not in [alias.name for alias in node.names]
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        assert name != "GramLattice"
 
 
 def test_no_module_imports_fractions():
@@ -212,9 +222,10 @@ LOOP_LEDGER = {
     ("certificate", "check_S5_isometry", "listcomp", 1): ("constant", "2 rows"),
     ("certificate", "run_certificate", "for", 1): ("constant", "5 steps"),
     ("certificate", "report_document", "listcomp", 1): ("constant", "5 steps"),
-    ("cli", "load_document", "dictcomp", 1): ("constant", "2 bounds"),
+    ("cli", "load_document", "for", 1): ("constant", "2 required fields"),
     ("cli", "_run_verify", "listcomp", 1): ("constant", "t = 0, -2"),
-    ("cli", "_run_verify", "genexp", 1): ("constant", "<= 2 S2 witnesses"),
+    ("cli", "_run_verify", "genexp", 1): ("constant", "<= 2 box targets"),
+    ("cli", "_run_verify", "genexp", 2): ("constant", "<= 2 S2 witnesses"),
     ("cli", "_run_verify", "dictcomp", 1): ("constant", "t = 0, -2"),
     ("cli", "_run_verify", "setcomp", 1): ("budget", "degree_bound"),
     ("cli", "_run_verify", "setcomp", 2): ("budget", "oracle.MAX_BOX_RADIUS"),
