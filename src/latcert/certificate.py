@@ -102,20 +102,15 @@ class CertificateInput(_InputFields):
         return super().__new__(cls, g, tuple(h), m, *self[3:])
 
 
-class _StepFields(NamedTuple):
+class StepResult(NamedTuple):
+    """One row of the report; its fields, in order, are the keys of a
+    step in the report document."""
+
     id: str
     status: str  # "pass", "fail", "unknown" or "skipped"
+    witness: Optional[object]
     citation: str
-    witness: Optional[object] = None
-    details: Optional[dict] = None  # not given: a fresh {} (see __new__)
-
-
-class StepResult(_StepFields):
-    __slots__ = ()
-
-    def __new__(cls, id, status, citation, witness=None, details=None):
-        details = {} if details is None else details
-        return super().__new__(cls, id, status, citation, witness, details)
+    details: dict
 
 
 class CertificateReport(NamedTuple):
@@ -149,10 +144,8 @@ def check_S1_lattice(g: GramLattice) -> StepResult:
         problems.append(f"signature is ({sig.positive},{sig.negative})")
     details = {"signature": (sig.positive, sig.negative)}
     if problems:
-        return StepResult(
-            "S1", "fail", citation, witness="; ".join(problems), details=details
-        )
-    return StepResult("S1", "pass", citation, details=details)
+        return StepResult("S1", "fail", "; ".join(problems), citation, details)
+    return StepResult("S1", "pass", None, citation, details)
 
 
 def check_S2_no_0_minus2(g: GramLattice, search_bound: int) -> StepResult:
@@ -169,12 +162,10 @@ def check_S2_no_0_minus2(g: GramLattice, search_bound: int) -> StepResult:
         elif rep.status == "unknown":
             saw_unknown = True
     if witnesses:
-        return StepResult(
-            "S2", "fail", citation, witness=witnesses, details=details
-        )
+        return StepResult("S2", "fail", witnesses, citation, details)
     if saw_unknown:
-        return StepResult("S2", "unknown", citation, details=details)
-    return StepResult("S2", "pass", citation, details=details)
+        return StepResult("S2", "unknown", None, citation, details)
+    return StepResult("S2", "pass", None, citation, details)
 
 
 def normalize_polarization(h: Vector) -> tuple[Vector, bool]:
@@ -203,10 +194,8 @@ def check_S3_polarization(g: GramLattice, h: Vector) -> StepResult:
     if h_sq != POLARIZATION_NORM:
         problems.append(f"norm is {h_sq}, expected {POLARIZATION_NORM}")
     if problems:
-        return StepResult(
-            "S3", "fail", citation, witness="; ".join(problems), details=details
-        )
-    return StepResult("S3", "pass", citation, details=details)
+        return StepResult("S3", "fail", "; ".join(problems), citation, details)
+    return StepResult("S3", "pass", None, citation, details)
 
 
 def _degree_window(a_coef: int, b_coef: int, disc: int) -> tuple[int, int]:
@@ -283,8 +272,8 @@ def check_S4_low_degree(
     for row in listing:
         if row["multiple_of_h"] is None:
             witness = {k: row[k] for k in ("coords", "degree", "square")}
-            return StepResult("S4", "fail", citation, witness, details)
-    return StepResult("S4", "pass", citation, details=details)
+            return StepResult("S4", "fail", witness, citation, details)
+    return StepResult("S4", "pass", None, citation, details)
 
 
 def check_S5_isometry(
@@ -325,7 +314,7 @@ def check_S5_isometry(
     try:
         action = induced_action(g, m)  # the one check of M^T * G * M = G
     except ValueError:
-        return StepResult("S5", "fail", citation, "matrix is not an isometry")
+        return StepResult("S5", "fail", "matrix is not an isometry", citation, {})
     char = char_poly_rank2(m)
     root = str(char.dominant_root) if char.dominant_root else None
     details = {
@@ -350,13 +339,13 @@ def check_S5_isometry(
         problems.append("isometry fixes the polarization")
     details["moves_polarization"] = moves
     if problems:
-        return StepResult("S5", "fail", citation, "; ".join(problems), details)
+        return StepResult("S5", "fail", "; ".join(problems), citation, details)
     n = action_order(action)
     if n is None:  # action_order proves n <= 6 under the precondition
         raise RuntimeError("induced action on L*/L has no order <= 6")
     details["disc_action_order"] = n
     details["isometry"] = [list(row) for row in m]
-    return StepResult("S5", "pass", citation, details=details)
+    return StepResult("S5", "pass", None, citation, details)
 
 
 def run_certificate(inp: CertificateInput) -> CertificateReport:
@@ -376,7 +365,7 @@ def run_certificate(inp: CertificateInput) -> CertificateReport:
         ("S5", check_S5_isometry, (g, h, inp.isometry)),
     ):
         if verdict != "pass":
-            steps.append(StepResult(step_id, "skipped", "", None, {}))
+            steps.append(StepResult(step_id, "skipped", None, "", {}))
             continue
         start = time.perf_counter()
         steps.append(check(*args))
@@ -396,16 +385,7 @@ def report_document(
     return {
         "format_version": FORMAT_VERSION,
         "verdict": report.verdict,
-        "steps": [
-            {
-                "id": s.id,
-                "status": s.status,
-                "witness": s.witness,
-                "citation": s.citation,
-                "details": s.details,
-            }
-            for s in report.steps
-        ],
+        "steps": [s._asdict() for s in report.steps],
         "derived": {
             "det": determinant(inp.gram),
             "signature": list(report.step("S1").details["signature"]),

@@ -40,10 +40,6 @@ EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
 
-class DocumentError(ValueError):
-    pass
-
-
 def load_document(path: str, degree_bound: Optional[int] = None) -> CertificateInput:
     """The CertificateInput of a document, with the JSON checks only:
     CertificateInput owns the field rules, integer entries included, and
@@ -53,25 +49,22 @@ def load_document(path: str, degree_bound: Optional[int] = None) -> CertificateI
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise DocumentError(f"cannot read input document: {exc}") from exc
+        raise ValueError(f"cannot read input document: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # overlong ints, deep nesting
-        raise DocumentError(f"malformed JSON in input document: {exc}") from exc
+        raise ValueError(f"malformed JSON in input document: {exc}") from exc
     if not isinstance(raw, dict):
-        raise DocumentError("input document must be a JSON object")
+        raise ValueError("input document must be a JSON object")
     unknown = set(raw) - set(CertificateInput._fields)
     if unknown:
-        raise DocumentError(
+        raise ValueError(
             f"unknown field(s) in input document: {', '.join(sorted(unknown))}"
         )
     for key in ("gram", "polarization"):
         if key not in raw:
-            raise DocumentError(f"missing required field: {key}")
+            raise ValueError(f"missing required field: {key}")
     if degree_bound is not None:
         raw["degree_bound"] = degree_bound
-    try:
-        return CertificateInput(**raw)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    return CertificateInput(**raw)
 
 
 def _run_verify(inp: CertificateInput, report: CertificateReport) -> dict:
@@ -123,27 +116,30 @@ def _run_verify(inp: CertificateInput, report: CertificateReport) -> dict:
 
 
 def _emit(doc: dict, fmt: str) -> None:
+    """Print the report whole: the text is built before the first print,
+    so an integer past the print limit leaves stdout empty."""
     if fmt == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
         return
-    print(f"verdict: {doc['verdict']}")
+    lines = [f"verdict: {doc['verdict']}"]
     for s in doc["steps"]:
         line = f"  {s['id']}: {s['status']}"
         if s["witness"] is not None:
             line += f"  witness={s['witness']}"
-        print(line)
+        lines.append(line)
     derived = doc["derived"]
-    print(f"  det={derived['det']} signature={derived['signature']}")
-    print(f"  invariant_factors={derived['invariant_factors']}")
+    lines.append(f"  det={derived['det']} signature={derived['signature']}")
+    lines.append(f"  invariant_factors={derived['invariant_factors']}")
     if derived["disc_action_order"] is not None:
-        print(f"  disc_action_order={derived['disc_action_order']}")
+        lines.append(f"  disc_action_order={derived['disc_action_order']}")
     if derived["dominant_root"]:
-        print(f"  dominant_root={derived['dominant_root']}")
+        lines.append(f"  dominant_root={derived['dominant_root']}")
     if "verify" in doc:
         for name, v in doc["verify"].items():
-            print(f"  verify {name}: {v['status']}")
+            lines.append(f"  verify {name}: {v['status']}")
     for step_id, ms in doc["timing"].items():
-        print(f"  timing {step_id}: {ms} ms")
+        lines.append(f"  timing {step_id}: {ms} ms")
+    print("\n".join(lines))
 
 
 def cmd_check(args) -> int:
@@ -186,21 +182,20 @@ def cmd_disc(args) -> int:
     group = discriminant_group(load_document(args.path).gram)
     gens = [[ratio(x, group.scale) for x in c] for c in group.columns]
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "invariant_factors": list(group.invariant_factors),
-                    "order": group.order,
-                    "generators": gens,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"invariant factors: {list(group.invariant_factors)}")
-        print(f"order: {group.order}")
-        for f, w in zip(group.invariant_factors, gens):
-            print(f"  Z/{f} generated by ({', '.join(w)})")
+        doc = {
+            "invariant_factors": list(group.invariant_factors),
+            "order": group.order,
+            "generators": gens,
+        }
+        print(json.dumps(doc, sort_keys=True))
+        return EXIT_PASS
+    lines = [
+        f"invariant factors: {list(group.invariant_factors)}",
+        f"order: {group.order}",
+    ]
+    for f, w in zip(group.invariant_factors, gens):
+        lines.append(f"  Z/{f} generated by ({', '.join(w)})")
+    print("\n".join(lines))  # built whole, as _emit's text
     return EXIT_PASS
 
 
@@ -208,9 +203,9 @@ def cmd_orbit(args) -> int:
     inp = load_document(args.path)
     m = inp.isometry
     if m is None:
-        raise DocumentError("orbit requires an isometry in the document")
+        raise ValueError("orbit requires an isometry in the document")
     if not is_isometry(inp.gram, m):
-        raise DocumentError("matrix is not an isometry of the lattice")
+        raise ValueError("matrix is not an isometry of the lattice")
     digits = _print_limit()
     orbit = polarization_orbit(inp.gram, m, inp.polarization, args.k_max, 10**digits)
     if orbit is None:
@@ -309,7 +304,7 @@ def main(argv=None) -> int:
         return EXIT_PASS if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except ValueError as exc:  # DocumentError included
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

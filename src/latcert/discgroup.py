@@ -30,10 +30,7 @@ def smith_normal_form(m) -> SmithDecomposition:
     steps, swapping in a nonzero remainder; when the pivot does not
     divide the remaining entry, add that row to the pivot row and pivot
     again; finally make the diagonal nonnegative by negating rows."""
-    try:
-        (a, b), (c, d) = m
-    except (TypeError, ValueError):
-        raise ValueError("smith_normal_form takes a 2x2 matrix") from None
+    (a, b), (c, d) = m
     u00, u01, u10, u11 = 1, 0, 0, 1
     while a or b or c or d:
         entries = (a, b, c, d)

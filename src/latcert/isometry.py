@@ -53,8 +53,6 @@ class CharData(NamedTuple):
 
 def is_isometry(g: GramLattice, m: Matrix) -> bool:
     """True iff M^T * gram * M = gram exactly."""
-    if len(m) != g.rank or any(len(row) != g.rank for row in m):
-        raise ValueError("matrix shape does not match lattice rank")
     return mat_mul(transpose(m), mat_mul(g.entries, m)) == g.entries
 
 
@@ -82,13 +80,11 @@ def order(m: Matrix) -> Optional[int]:
     det -1: M^2 = I iff tr = 0 (Cayley-Hamilton), else the eigenvalues
     are real and not +-1. Any other det has |det^k| != 1 for all k.
     """
-    if len(m) != 2:
-        raise ValueError("order test implemented for rank 2 only")
-    tr = m[0][0] + m[1][1]
-    dt = det(m)
+    (a, b), (c, d) = m
+    tr, dt = a + d, det(m)
     if dt == 1 and tr in ELLIPTIC_ORDER:
         return ELLIPTIC_ORDER[tr]
-    if dt == 1 and abs(tr) == 2 and m[0][1] == m[1][0] == 0:
+    if dt == 1 and abs(tr) == 2 and b == c == 0:
         return 1 if tr == 2 else 2
     if dt == -1 and tr == 0:
         return 2
@@ -130,16 +126,14 @@ def char_poly_rank2(m: Matrix) -> CharData:
     divides it and only disc / g^2 is factored. For an isometry of a
     Gram G that quotient is a primitive discriminant, at most 4*|det G|.
     """
-    if len(m) != 2:
-        raise ValueError("rank 2 only")
-    tr = m[0][0] + m[1][1]
-    dt = det(m)
+    (a, b), (c, d) = m
+    tr, dt = a + d, det(m)
     disc = tr * tr - 4 * dt
     if disc <= 0 or math.isqrt(disc) ** 2 == disc:
         return CharData(tr, dt, None)  # rational or complex roots
-    g = math.gcd(m[0][0] - m[1][1], m[0][1], m[1][0])
-    sq, d = _squarefree_split(disc // (g * g))
-    return CharData(tr, dt, QuadraticRoot(p=tr, q=g * sq, d=d))
+    g = math.gcd(a - d, b, c)
+    sq, free = _squarefree_split(disc // (g * g))
+    return CharData(tr, dt, QuadraticRoot(p=tr, q=g * sq, d=free))
 
 
 def polarization_orbit(

@@ -72,10 +72,6 @@ class GramLattice(_GramEntries):
     def from_rows(cls, rows) -> "GramLattice":
         return cls(rows)
 
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
 
 def inner(g: GramLattice, u: Vector, v: Vector) -> int:
     """Bilinear pairing u^T * gram * v."""

@@ -219,7 +219,8 @@ def _pell_class_search(
     y*|n| >= 2*S^2*sqrt(disc), as 2*(x - 1) < 2*y*sqrt(disc); the walk
     to the unit stops there, and the answer is "yes" or "unknown".
     """
-    assert f.a == 1
+    if f.a != 1:
+        raise ValueError("the Pell-class search needs leading coefficient 1")
     disc = f.discriminant
     n = 4 * t
     fund = pell_fundamental(disc, math.isqrt(4 * search_bound**4 * disc // n**2) + 1)
@@ -338,9 +339,8 @@ def represents_value(
     if _congruence_blocks(f, t):
         return Representation(status="no", reason=REASON_CONGRUENCE)
     result = _decide_primitive(f0, t // cont, search_bound)
-    if result.status == "yes":
-        x, y = result.witness
-        assert f.evaluate(x, y) == t
+    if result.status == "yes" and f.evaluate(*result.witness) != t:
+        raise RuntimeError(f"witness {result.witness} does not represent {t}")
     return result
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import pathlib
 import signal
@@ -29,6 +30,27 @@ def sigma():
 @pytest.fixture
 def data_dir():
     return DATA_DIR
+
+
+def small_sweep():
+    """Every even indefinite [[2a,b],[b,2c]] with |a|, |c| <= 8 and
+    0 <= b <= 11."""
+    return [
+        [[2 * a, b], [b, 2 * c]]
+        for a, c, b in itertools.product(range(-8, 9), range(-8, 9), range(12))
+        if 4 * a * c - b * b < 0
+    ]
+
+
+def census_window():
+    """The 450 reduced pairs [[4,b],[b,2c]], 0 <= b <= 2, with
+    -1200 <= det < 0."""
+    return [
+        [[4, b], [b, 2 * c]]
+        for b in range(3)
+        for c in range(0 if b else -1, -200, -1)
+        if b * b - 8 * c <= 1200
+    ]
 
 
 def symmetric_entries(rank, lo=-9, hi=9):

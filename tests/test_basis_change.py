@@ -24,8 +24,7 @@ from latcert.matrices import adjugate, det, from_rows, mat_mul, mat_vec, transpo
 from latcert.oracle import brute_values, required_values_radius
 from latcert.quadform import represents_value
 
-from .conftest import PAPER_GRAM, PAPER_SIGMA, mat_pow
-from .test_s2_scans import census_window, small_sweep
+from .conftest import PAPER_GRAM, PAPER_SIGMA, census_window, mat_pow, small_sweep
 
 ELEMENTARY = (
     lambda k: ((1, k), (0, 1)),

@@ -10,7 +10,6 @@ import pytest
 from latcert.certificate import (
     MAX_DEGREE_BOUND,
     CertificateInput,
-    StepResult,
     _degree_window,
     check_S1_lattice,
     check_S2_no_0_minus2,
@@ -495,14 +494,6 @@ class TestRunCertificate:
         assert report == retimed
         assert not report != retimed
         assert report != report._replace(verdict="unknown")
-
-    def test_step_details_default_is_a_fresh_dict(self):
-        first = StepResult("S4", "skipped", citation="")
-        second = StepResult("S5", "skipped", citation="")
-        assert first.details == {} and second.details == {}
-        assert first.details is not second.details
-        given = {"n": 1}
-        assert StepResult("S5", "pass", "", details=given).details is given
 
     def test_report_determinism(self, paper_lattice, sigma):
         inp = CertificateInput(

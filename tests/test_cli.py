@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -28,7 +29,6 @@ from latcert.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_UNKNOWN,
-    DocumentError,
     load_document,
     main,
 )
@@ -540,6 +540,27 @@ def test_orbit_too_long_to_print_leaves_stdout_empty(capsys, tmp_path, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["check", "disc"])
+def test_determinant_past_print_limit_prints_nothing(capsys, tmp_path, command, fmt):
+    # entries of 2,151 digits and |det| = 16*b^2 + 8 of 4,301: the text
+    # formats used to print their first lines before failing on det
+    b = math.isqrt((10**4300 - 8) // 4) + 1
+    doc = tmp_path / "long_det.json"
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        doc.write_text(
+            json.dumps({"gram": [[4, 2 * b], [2 * b, -2]], "polarization": [1, 0]})
+        )
+        code, out, err = run_cli(capsys, command, str(doc), "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "(4300 digits)" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_orbit_past_print_limit_is_refused_at_once(capsys, data_dir, fmt):
     # entries of sigma^k h pass 4300 digits near k = 4300; the refusal
     # must come before formatting, which would take over a second to
@@ -868,19 +889,19 @@ class TestDocumentValidation:
         doc.write_text(
             '{"gram": [[4, 20], [20, 4]], "polarization": [1, 0], "zzz": 1}'
         )
-        with pytest.raises(DocumentError, match="zzz"):
+        with pytest.raises(ValueError, match="zzz"):
             load_document(str(doc))
 
     def test_missing_gram(self, tmp_path):
         doc = tmp_path / "missing.json"
         doc.write_text('{"polarization": [1, 0]}')
-        with pytest.raises(DocumentError, match="gram"):
+        with pytest.raises(ValueError, match="gram"):
             load_document(str(doc))
 
     def test_float_entries_rejected(self, tmp_path):
         doc = tmp_path / "floats.json"
         doc.write_text('{"gram": [[4.0, 20], [20, 4]], "polarization": [1, 0]}')
-        with pytest.raises(DocumentError, match="integer"):
+        with pytest.raises(ValueError, match="integer"):
             load_document(str(doc))
 
     def test_returns_the_input_of_the_document_literal(self, data_dir):

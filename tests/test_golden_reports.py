@@ -5,21 +5,23 @@ Each line holds one input, in the shape of an input document, and its
 report:
   - the paper Gram with polarization (1, 0) and sigma^k, k = 1..64
   - the four bundled documents in data/
-  - every census-window pair [[4,b],[b,2c]] (0 <= b <= 2, |det| <= 1200,
-    h = (1, 0), no isometry) whose certificate finished within 50 ms,
-    best of three, when the file was written
+  - 415 census-window pairs [[4,b],[b,2c]] (0 <= b <= 2, |det| <= 1200,
+    h = (1, 0), no isometry)
 
-The census pairs are listed in the file, so the test does not depend
-on timing. To rewrite the file after a deliberate change of the
-reports, run `PYTHONPATH=src python3 tests/test_golden_reports.py`.
+The writer takes its census inputs from the census lines already in
+the file, so a rewrite does not depend on the machine, and with the
+reports unchanged it leaves the file byte for byte as it was. To
+rewrite the file after a deliberate change of the reports, run
+`PYTHONPATH=src python3 tests/test_golden_reports.py`. To change the
+census set, add or delete census lines in the file and rewrite it; a
+new line needs only its "family" and "input", as the rewrite computes
+its "report".
 """
 
 import json
 import math
 import pathlib
-import signal
 import sys
-import time
 
 from latcert.certificate import CertificateInput, report_document, run_certificate
 
@@ -30,8 +32,6 @@ DATA_DIR = ROOT / "data"
 PAPER_GRAM = [[4, 20], [20, 4]]
 PAPER_SIGMA = [[10, 1], [-1, 0]]
 SIGMA_K_MAX = 64
-CENSUS_DET_MAX = 1200
-CENSUS_MS = 50
 
 
 def report_without_timing(doc):
@@ -83,61 +83,37 @@ def _sigma_powers():
         yield power
 
 
-def _census_window():
-    for b in range(3):
-        c = 0 if b else -1
-        while b * b - 8 * c <= CENSUS_DET_MAX:
-            yield {"gram": [[4, b], [b, 2 * c]], "polarization": [1, 0]}
-            c -= 1
-
-
-def _best_of_three_ms(doc):
-    """Best of three certificate runs in ms, or None when one run takes
-    longer than a second (an op past its deadline)."""
-
-    class TooLong(BaseException):
-        pass
-
-    def alarm(*_):
-        raise TooLong
-
-    inp = CertificateInput(**doc)
-    best = None
-    previous = signal.signal(signal.SIGALRM, alarm)
-    try:
-        for _ in range(3):
-            start = time.perf_counter()
-            signal.setitimer(signal.ITIMER_REAL, 1.0)
-            try:
-                run_certificate(inp)
-            except TooLong:
-                return None
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-            ms = (time.perf_counter() - start) * 1000
-            best = ms if best is None else min(best, ms)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
-    return best
-
-
-def write_golden():
+def golden_lines():
+    """The lines of golden/reports.jsonl as the writer computes them:
+    the sigma^k inputs, the documents, then the census inputs that the
+    file lists, each with its report."""
     entries = [
         ("sigma^k", {"gram": PAPER_GRAM, "polarization": [1, 0], "isometry": m})
         for m in _sigma_powers()
     ]
     for path in sorted(DATA_DIR.glob("*.json")):
-        doc = json.loads(path.read_text())
-        entries.append(("document", doc))
-    for doc in _census_window():
-        ms = _best_of_three_ms(doc)
-        if ms is not None and ms < CENSUS_MS:
-            entries.append(("census", doc))
-    with GOLDEN.open("w") as out:
-        for family, doc in entries:
-            line = {"family": family, "input": doc, "report": report_without_timing(doc)}
-            out.write(json.dumps(line, separators=(",", ":")) + "\n")
-    print(f"wrote {len(entries)} reports to {GOLDEN}", file=sys.stderr)
+        entries.append(("document", json.loads(path.read_text())))
+    for line in GOLDEN.read_text().splitlines():
+        entry = json.loads(line)
+        if entry["family"] == "census":
+            entries.append(("census", entry["input"]))
+    return [
+        json.dumps(
+            {"family": family, "input": doc, "report": report_without_timing(doc)},
+            separators=(",", ":"),
+        )
+        for family, doc in entries
+    ]
+
+
+def test_rewrite_leaves_the_file_unchanged():
+    assert golden_lines() == GOLDEN.read_text().splitlines()
+
+
+def write_golden():
+    lines = golden_lines()
+    GOLDEN.write_text("".join(line + "\n" for line in lines))
+    print(f"wrote {len(lines)} reports to {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 verify, the CLI leaves the Gram matrix to `CertificateInput`, every
 function the benchmark tracer wraps exists and is loaded by
 `import latcert.cli`, the CLI's import path stays lean, the package
-computes in integers only (no `fractions`), every record type's
-annotations resolve, scripts/reproduce.py keeps its committed output,
-and every loop has an entry in the loop ledger."""
+computes in integers only (no `fractions`) and holds no `assert` that
+`python -O` would strip, every record type's annotations resolve,
+scripts/reproduce.py keeps its committed output, and every loop has an
+entry in the loop ledger."""
 
 import ast
 import importlib
@@ -84,6 +85,17 @@ def test_no_module_imports_fractions():
             else:
                 continue
             assert "fractions" not in names, path.name
+
+
+def test_no_module_holds_an_assert_statement():
+    # python -O strips assert statements, so every check is explicit
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_every_named_tuple_has_resolvable_annotations():
@@ -248,7 +260,6 @@ LOOP_LEDGER = {
     ("discgroup", "smith_normal_form", "while", 2): ("bits", "Euclid's steps"),
     # n is 1, 2, 3, 4 or 6 on S5's path (proved in its docstring)
     ("discgroup", "action_order", "for", 1): ("constant", "n <= 6"),
-    ("isometry", "is_isometry", "genexp", 1): ("constant", "2 rows"),
     ("isometry", "_squarefree_split", "while", 1): (
         "budget",
         "isometry.TRIAL_DIVISION_BOUND",

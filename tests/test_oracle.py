@@ -25,8 +25,14 @@ from latcert.oracle import (
     required_values_radius,
 )
 
-from .conftest import brute_pell, deadline, identity, mat_pow
-from .test_s2_scans import census_window, small_sweep
+from .conftest import (
+    brute_pell,
+    census_window,
+    deadline,
+    identity,
+    mat_pow,
+    small_sweep,
+)
 
 
 class TestBruteValues:

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcert.lattice import GramLattice, norm
+from latcert import quadform
 from latcert.matrices import mat_vec
 from latcert.quadform import (
     REASON_CONTENT,
     REASON_NONSQUARE_DISC,
     BinaryForm,
     PellSolution,
+    Representation,
     automorph_generator,
     content,
     pell_fundamental,
@@ -227,6 +229,19 @@ class TestRepresentsValue:
         else:
             # unknown is only acceptable when the oracle has no witness
             assert t not in attained
+
+    def test_wrong_witness_is_a_runtime_error(self, monkeypatch):
+        # the re-check of a "yes" witness is an explicit check, which
+        # python -O keeps
+        wrong = Representation(status="yes", witness=(1, 0))
+        monkeypatch.setattr(quadform, "_decide_primitive", lambda *_: wrong)
+        g = GramLattice.from_rows([[2, 0], [0, -2]])
+        with pytest.raises(RuntimeError, match=r"\(1, 0\) does not represent -2"):
+            represents_value(g, -2)
+
+    def test_pell_class_search_needs_leading_coefficient_one(self):
+        with pytest.raises(ValueError, match="leading coefficient 1"):
+            quadform._pell_class_search(BinaryForm(2, 1, -1), -1, 10)
 
 
 class TestAutomorphGenerator:

@@ -21,6 +21,7 @@ from latcert.discgroup import (
     induced_action,
     smith_normal_form,
 )
+from latcert.isometry import char_poly_rank2, is_isometry, order
 from latcert.lattice import GramLattice, LowDegreeClass, inner, multiple_of, norm
 from latcert.matrices import adjugate, det, mat_mul, mat_vec
 
@@ -219,6 +220,31 @@ def test_snf_matches_reference_on_every_small_matrix():
         u, d, v = ref_smith_normal_form(m)
         assert ref_mat_mul(ref_mat_mul(u, m), v) == d, m  # singular m included
         assert tuple(smith_normal_form(m)) == (u, d), m
+
+
+NOT_2X2 = {
+    "1x1": ((1,),),
+    "3x3": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "2x3": ((1, 0, 0), (0, 1, 0)),
+}
+PAPER = GramLattice.from_rows([[4, 20], [20, 4]])
+
+
+@pytest.mark.parametrize("shape", sorted(NOT_2X2))
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        functools.partial(is_isometry, PAPER),
+        order,
+        char_poly_rank2,
+        smith_normal_form,
+    ],
+    ids=["is_isometry", "order", "char_poly_rank2", "smith_normal_form"],
+)
+def test_kernels_refuse_a_matrix_that_is_not_2x2(kernel, shape):
+    # each kernel unpacks its matrix as matrices.det does
+    with pytest.raises(ValueError):
+        kernel(NOT_2X2[shape])
 
 
 @pytest.mark.parametrize("size", [10**3, 10**12, 10**40])

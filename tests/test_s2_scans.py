@@ -30,6 +30,8 @@ from latcert.quadform import (
     represents_value,
 )
 
+from .conftest import census_window, small_sweep
+
 REF_MODULI = (3, 5, 8, 16)
 T_VALUES = (0, -2)  # S2's targets, the only ones represents_value takes
 UNIMODULAR_BOX = 20
@@ -154,16 +156,6 @@ def ref_represents_value(g, t, search_bound=1000):
     return ref_decide_primitive(f0, t // cont, search_bound)
 
 
-def small_sweep():
-    """Every even indefinite [[2a,b],[b,2c]] with |a|, |c| <= 8 and
-    0 <= b <= 11."""
-    return [
-        [[2 * a, b], [b, 2 * c]]
-        for a, c, b in itertools.product(range(-8, 9), range(-8, 9), range(12))
-        if 4 * a * c - b * b < 0
-    ]
-
-
 def seeded_grams(seed, count, half_diag, off_diag):
     """`count` draws of [[A,B],[B,C]] with A, C even, |A|, |C| <=
     2*half_diag and |B| <= off_diag; the indefinite ones are kept."""
@@ -176,17 +168,6 @@ def seeded_grams(seed, count, half_diag, off_diag):
         if a * c - b * b < 0:
             out.append([[a, b], [b, c]])
     return out
-
-
-def census_window():
-    """The 450 reduced pairs [[4,b],[b,2c]], 0 <= b <= 2, with
-    -1200 <= det < 0."""
-    return [
-        [[4, b], [b, 2 * c]]
-        for b in range(3)
-        for c in range(0 if b else -1, -200, -1)
-        if b * b - 8 * c <= 1200
-    ]
 
 
 def assert_same_representations(grams, t_values):
