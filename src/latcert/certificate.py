@@ -277,7 +277,7 @@ def check_S4_low_degree(
 
 
 def check_S5_isometry(
-    g: GramLattice, h: Vector, m: Optional[Matrix]
+    g: GramLattice, h: Vector, m: Optional[Matrix], search_bound: int
 ) -> StepResult:
     """Infinite-order cone-preserving isometry moving the polarization,
     plus the least n acting trivially on the discriminant group.
@@ -289,9 +289,10 @@ def check_S5_isometry(
     With no isometry supplied, S5 checks the automorph generator
     M = [[(t - b*u)/2, -c*u], [a*u, (t + b*u)/2]] of the primitive form
     v.G.v / k = a*x^2 + b*x*y + c*y^2 of discriminant D, with
-    t^2 - D*u^2 = 4 and u >= 1; no other candidate is needed. det M = 1
-    and t > 2, so M has infinite order and eigenvalues l, 1/l > 0, with
-    isotropic eigenvectors v, w (norm(v) = norm(l*v) = l^2 * norm(v)).
+    t^2 - D*u^2 = 4 and u >= 1 least (one scan up to search_bound^2,
+    else "unknown"); no other candidate is needed. det M = 1 and t > 2,
+    so M has infinite order and eigenvalues l, 1/l > 0, with isotropic
+    eigenvectors v, w (norm(v) = norm(l*v) = l^2 * norm(v)).
     For h = x*v + y*w, inner(M*h, h) = (l + 1/l) * x*y * inner(v, w) =
     (t/2) * norm(h): M preserves each cone, and M*h = h would make 1 an
     eigenvalue, so M moves every h of positive norm.
@@ -310,7 +311,10 @@ def check_S5_isometry(
         )
     h, _ = normalize_polarization(h)
     if m is None:
-        m = quadform.automorph_generator(f0)
+        m = quadform.automorph_generator(f0, search_bound)
+        if m is None:
+            reason = f"no automorph with u <= search_bound^2 = {search_bound**2}"
+            return StepResult("S5", "unknown", None, citation, {"reason": reason})
     try:
         action = induced_action(g, m)  # the one check of M^T * G * M = G
     except ValueError:
@@ -362,7 +366,7 @@ def run_certificate(inp: CertificateInput) -> CertificateReport:
         ("S2", check_S2_no_0_minus2, (g, inp.search_bound)),
         ("S3", check_S3_polarization, (g, h)),
         ("S4", check_S4_low_degree, (g, h, inp.degree_bound)),
-        ("S5", check_S5_isometry, (g, h, inp.isometry)),
+        ("S5", check_S5_isometry, (g, h, inp.isometry, inp.search_bound)),
     ):
         if verdict != "pass":
             steps.append(StepResult(step_id, "skipped", None, "", {}))

@@ -1,10 +1,9 @@
 """Diophantine kernel for binary quadratic forms of rank-2 lattices.
 
-Representability is decided only for S2's targets 0 and -2, as a
-staged pipeline (content filter, congruence filter, Pell-class search
-with an exact class bound, box scans at one root solve per row: O(box),
-not O(box^2) points) that returns an honest "unknown" when the search
-budget is exhausted.
+Representability is decided only for S2's targets 0 and -2, on one
+bounded path (content and congruence filters, then one Pell-class search
+with an exact class bound, or box scans at one root solve per row) that
+returns an honest "unknown" when the search budget is exhausted.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ REASON_CONTENT = "content-divisibility"
 REASON_CONGRUENCE = "congruence-filter"
 REASON_NONSQUARE_DISC = "nonsquare-discriminant"
 REASON_PELL = "pell-exhausted"
+REASON_DIVISOR = "divisor-search"
+REASON_BOX = "box-exhausted"
 
 
 class BinaryForm(NamedTuple):
@@ -315,19 +316,17 @@ def represents_value(
     g: GramLattice, t: int, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> Representation:
     """Decide whether the rank-2 lattice g represents t, one of S2's
-    targets 0 and -2; any other t is a ValueError.
+    targets 0 and -2; any other t is a ValueError. A rank-2 lattice has
+    signature (1,1) exactly when its determinant is negative.
 
-    Pipeline: zero criterion / content filter / congruence filter /
-    Pell-class search on the primitive part, with a direct box scan
-    before conceding "unknown". A rank-2 lattice has signature (1,1)
-    exactly when its determinant is negative.
+    One path: zero criterion / content filter / congruence filter /
+    `_decide_primitive` on the primitive part, whose one Pell-class
+    search scans at most search_bound + 1 rows.
     """
     if t not in (0, -2):
         raise ValueError(f"represents_value decides t = 0 and t = -2 only, not {t}")
     if determinant(g) >= 0:
-        raise ValueError(
-            "representability pipeline requires signature (1,1)"
-        )
+        raise ValueError("representability pipeline requires signature (1,1)")
     f = to_binary_form(g)
     if t == 0:
         if represents_zero_nontrivially(f):
@@ -347,49 +346,46 @@ def represents_value(
 def _decide_primitive(
     f0: BinaryForm, t0: int, search_bound: int
 ) -> Representation:
+    """A square discriminant goes to the complete `_divisor_search`. Any
+    other f0 takes one path: a change of variables m to a or c = +-1 (the
+    identity, else `_unimodular_to_leading_one`'s box-20 point), a sign
+    making it 1, a swap putting it first, and one Pell-class search of at
+    most search_bound + 1 rows; with no +-1 in the box, a box-50 scan."""
     if _is_square(f0.discriminant):
         w = _divisor_search(f0, t0)
-        if w is not None:
-            return Representation(status="yes", witness=w)
-        return Representation(status="no", reason=REASON_PELL)
-    if f0.a == 1:
-        return _pell_class_search(f0, t0, search_bound)
-    if f0.c == 1:
-        r = _pell_class_search(BinaryForm(f0.c, f0.b, f0.a), t0, search_bound)
-        if r.status == "yes":
-            return Representation(status="yes", witness=r.witness[::-1])
-        return r
-    if f0.a == -1 or f0.c == -1:
-        neg = BinaryForm(-f0.a, -f0.b, -f0.c)
-        return _decide_primitive(neg, -t0, search_bound)
-    # leading coefficient not +-1: try a unimodular change of variables
-    found = _unimodular_to_leading_one(f0, box=20)
-    if found is not None:
-        f1, m = found
-        r = _decide_primitive(f1, t0, search_bound)
-        if r.status == "yes":
-            return Representation(status="yes", witness=mat_vec(m, r.witness))
-        return r
-    # a direct witness scan before answering "unknown"
-    w = _first_in_box(f0, (t0,), min(50, search_bound))
-    if w is not None:
+        if w is None:
+            return Representation(status="no", reason=REASON_DIVISOR)
         return Representation(status="yes", witness=w)
-    return Representation(status="unknown", reason=REASON_PELL)
+    f1, m = f0, ((1, 0), (0, 1))
+    if not {f0.a, f0.c} & {1, -1}:
+        found = _unimodular_to_leading_one(f0, box=20)
+        if found is None:
+            w = _first_in_box(f0, (t0,), min(50, search_bound))
+            if w is None:
+                return Representation(status="unknown", reason=REASON_BOX)
+            return Representation(status="yes", witness=w)
+        f1, m = found
+    sign = 1 if 1 in (f1.a, f1.c) else -1
+    a, b, c = sign * f1.a, sign * f1.b, sign * f1.c
+    if a != 1:  # swap the variables: a and c trade places, as do m's columns
+        a, c, m = c, a, (m[0][::-1], m[1][::-1])
+    r = _pell_class_search(BinaryForm(a, b, c), sign * t0, search_bound)
+    return r._replace(witness=mat_vec(m, r.witness)) if r.witness else r
 
 
-def automorph_generator(f: BinaryForm) -> Matrix:
-    """The standard proper automorph of a primitive indefinite form,
-    built from the minimal solution of t^2 - disc*u^2 = 4 with u > 0."""
+def automorph_generator(
+    f: BinaryForm, search_bound: int = DEFAULT_SEARCH_BOUND
+) -> Optional[Matrix]:
+    """The standard proper automorph of a primitive indefinite form, from
+    the least solution of t^2 - disc*u^2 = 4 with 0 < u <= search_bound^2
+    (one linear scan); None when that u is larger."""
     if content(f) != 1:
         raise ValueError("form must be primitive")
     disc = f.discriminant
     if disc <= 0 or _is_square(disc):
         raise ValueError("form must be indefinite with nonsquare discriminant")
-    u = 1
-    while True:
-        rhs = disc * u * u + 4
-        if _is_square(rhs):
-            t = math.isqrt(rhs)
-            break
-        u += 1
-    return ((t - f.b * u) // 2, -f.c * u), (f.a * u, (t + f.b * u) // 2)
+    for u in range(1, search_bound * search_bound + 1):
+        t = math.isqrt(rhs := disc * u * u + 4)
+        if t * t == rhs:
+            return ((t - f.b * u) // 2, -f.c * u), (f.a * u, (t + f.b * u) // 2)
+    return None

@@ -8,8 +8,8 @@ referee's wherever the referee has one. The count of such flips at -2
 is a ratchet that may only shrink, towards none. The invariant factors
 and S4's classes agree across bases, and on the paper Gram with an
 isometry so do the verdict, n and the characteristic polynomial. S5
-runs only with an isometry supplied: the automorph search without one
-runs past 10 s on some census Grams."""
+runs only with an isometry supplied: the automorph scan without one
+takes its whole u <= search_bound^2 budget on some census Grams."""
 
 import random
 

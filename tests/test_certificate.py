@@ -38,6 +38,7 @@ from .conftest import (
 
 
 GOLDEN_REPORTS = DATA_DIR.parent / "tests" / "golden" / "reports.jsonl"
+BOUND = quadform.DEFAULT_SEARCH_BOUND
 POLARIZATION_TYPE = "field polarization must be an integer array"
 ISOMETRY_TYPE = "field isometry must be a 2D integer array"
 GRAM_TYPE = "field gram must be a 2D integer array"
@@ -169,7 +170,7 @@ class TestS4:
 
 class TestS5:
     def test_paper_isometry(self, paper_lattice, sigma):
-        result = check_S5_isometry(paper_lattice, (1, 0), sigma)
+        result = check_S5_isometry(paper_lattice, (1, 0), sigma, BOUND)
         assert result.status == "pass"
         assert result.details["disc_action_order"] == 4
         assert result.details["char_poly"] == {"trace": 10, "det": 1}
@@ -177,13 +178,13 @@ class TestS5:
         assert "5 + 4*sqrt(6)" in result.details["eigenvalue_discrepancy"]
 
     def test_identity_fails(self, paper_lattice):
-        result = check_S5_isometry(paper_lattice, (1, 0), ((1, 0), (0, 1)))
+        result = check_S5_isometry(paper_lattice, (1, 0), ((1, 0), (0, 1)), BOUND)
         assert result.status == "fail"
         assert "finite order 1" in result.witness
         assert "fixes the polarization" in result.witness
 
     def test_non_isometry_fails(self, paper_lattice):
-        result = check_S5_isometry(paper_lattice, (1, 0), ((1, 1), (0, 1)))
+        result = check_S5_isometry(paper_lattice, (1, 0), ((1, 1), (0, 1)), BOUND)
         assert result.status == "fail"
         assert "not an isometry" in result.witness
 
@@ -209,9 +210,10 @@ class TestS5:
 
     def test_never_unknown_on_golden_inputs(self):
         # n divides 2, 4 or 6 on S5's path (the proof is in the docstring
-        # of discgroup.action_order), so action_order always finds it.
-        # Census pairs whose golden report skips S5 are left out: for some
-        # of them the unbudgeted automorph search runs for seconds.
+        # of discgroup.action_order), so action_order always finds it, and
+        # no golden input that reaches S5 has its least u above 106,000,
+        # inside the default budget u <= BOUND^2. Census pairs whose golden
+        # report skips S5 are left out: S1-S3 do not all pass for them.
         statuses = []
         for line in GOLDEN_REPORTS.read_text().splitlines():
             entry = json.loads(line)
@@ -220,7 +222,7 @@ class TestS5:
                 continue
             g = GramLattice(doc["gram"])
             inp = CertificateInput(g, doc["polarization"], doc.get("isometry"))
-            result = check_S5_isometry(g, inp.polarization, inp.isometry)
+            result = check_S5_isometry(g, inp.polarization, inp.isometry, BOUND)
             assert result.status in ("pass", "fail"), doc
             if result.status == "pass":
                 n = result.details["disc_action_order"]
@@ -232,7 +234,7 @@ class TestS5:
     def test_no_order_is_an_invariant_error(self, monkeypatch, paper_lattice, sigma):
         monkeypatch.setattr(certificate, "action_order", lambda action: None)
         with pytest.raises(RuntimeError, match="no order"):
-            check_S5_isometry(paper_lattice, (1, 0), sigma)
+            check_S5_isometry(paper_lattice, (1, 0), sigma, BOUND)
 
     @pytest.mark.parametrize(
         "rows,isometry",
@@ -247,12 +249,12 @@ class TestS5:
         g = GramLattice.from_rows(rows)
         assert isometry is None or is_isometry(g, isometry)
         with pytest.raises(ValueError, match="S5 needs S1-S3"):
-            check_S5_isometry(g, (1, 0), isometry)
+            check_S5_isometry(g, (1, 0), isometry, BOUND)
         report = run_certificate(CertificateInput(g, (1, 0), isometry))
         assert report.step("S5").status == "skipped"
 
     def test_isometry_search_when_absent(self, paper_lattice):
-        result = check_S5_isometry(paper_lattice, (1, 0), None)
+        result = check_S5_isometry(paper_lattice, (1, 0), None, BOUND)
         assert result.status == "pass"
         assert result.details["disc_action_order"] == 4
 
@@ -295,40 +297,44 @@ class TestS5:
 
     def test_automorph_generator_always_qualifies(self):
         # Every even indefinite [[2a,b],[b,2c]] with |a|, |c| <= 8,
-        # 0 <= b <= 11 whose primitive form f0 has a nonsquare discriminant
-        # D and an automorph with u < 2000 (so the linear search in
-        # automorph_generator stays short), and every h of positive norm
-        # among six: S5 passes with the generator itself when v.G.v has
-        # content 2k = 2 or 4, and refuses the rest (18 of which have an
-        # order on L*/L past 6) with ValueError.
+        # 0 <= b <= 11 whose primitive form f0 has a nonsquare discriminant,
+        # and every h of positive norm among six, at search_bound 45: the
+        # scan stops at u = 2025, and no form here has its least u in
+        # 2000..2025. With an automorph, S5 passes with the generator itself
+        # when v.G.v has content 2k = 2 or 4, and refuses the rest (18 of
+        # which have an order on L*/L past 6) with ValueError; without one,
+        # S5 is "unknown" and its reason names search_bound.
         polarizations = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))
-        cases = refused = 0
+        cases = refused = unknown = 0
         for a, b, c in itertools.product(range(-8, 9), range(12), range(-8, 9)):
             if 4 * a * c - b * b >= 0:
                 continue
             k = math.gcd(a, b, c)
             f0 = quadform.BinaryForm(a // k, b // k, c // k)
             d = f0.discriminant
-            if math.isqrt(d) ** 2 == d or not any(
-                math.isqrt(d * u * u + 4) ** 2 == d * u * u + 4
-                for u in range(1, 2000)
-            ):
+            if math.isqrt(d) ** 2 == d:
                 continue
             g = GramLattice.from_rows([[2 * a, b], [b, 2 * c]])
-            gen = [list(row) for row in quadform.automorph_generator(f0)]
+            gen = quadform.automorph_generator(f0, 45)
             for h in polarizations:
                 if norm(g, h) <= 0:
                     continue
-                cases += 1
                 if k > 2:
                     with pytest.raises(ValueError, match="content 2 or 4"):
-                        check_S5_isometry(g, h, None)
-                    refused += 1
+                        check_S5_isometry(g, h, None, 45)
+                    cases += gen is not None
+                    refused += gen is not None
                     continue
-                result = check_S5_isometry(g, h, None)
+                result = check_S5_isometry(g, h, None, 45)
+                if gen is None:
+                    assert result.status == "unknown", (a, b, c, h)
+                    assert "search_bound" in result.details["reason"]
+                    unknown += 1
+                    continue
+                cases += 1
                 assert result.status == "pass", (a, b, c, h)
-                assert result.details["isometry"] == gen
-        assert (cases, refused) == (4488, 154)
+                assert result.details["isometry"] == [list(r) for r in gen]
+        assert (cases, refused, unknown) == (4488, 154, 1212)
 
 
 class TestRunCertificate:

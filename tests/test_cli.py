@@ -362,9 +362,9 @@ class TestEnumerate:
         "gram", [[[4, 1], [1, -1564544606]], [[4, 0], [0, -96]], [[4, 2], [2, -2]]]
     )
     def test_bound_1024_lists_what_s4_lists(self, capsys, tmp_path, gram):
-        # 255, 13,329 and 75,527 classes; check would not reach S4 on the
-        # first (S5's automorph search runs long) or the last (S2 fails),
-        # so S4's step function is the reference
+        # 255, 13,329 and 75,527 classes; check spends S5's whole automorph
+        # budget on the first and stops at S2 on the last, so S4's step
+        # function is the reference
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"gram": gram, "polarization": [1, 0]}))
         s4 = check_S4_low_degree(GramLattice(gram), (1, 0), 1024)
@@ -623,6 +623,41 @@ def test_eighteen_digit_entry_answers_within_a_second(capsys, tmp_path):
     assert code == EXIT_UNKNOWN
     s2 = json.loads(out)["steps"][1]
     assert s2["details"]["t=-2"] == {"status": "unknown", "reason": "pell-exhausted"}
+
+
+class TestAutomorphBudget:
+    """S5's scan for the least u of t^2 - D*u^2 = 4 stops at
+    search_bound^2. Hang 1, [[4, 0], [0, -244]], has u = 226,153,980
+    and ran for about 50 s; [[4, 2], [2, -136]] has u = 1,039,424,
+    just past the default 1000^2 and inside 1020^2 = 1,040,400."""
+
+    def check_s5(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_under_alarm(
+            1.0, capsys, "check", str(path), "--format", "json"
+        )
+        return code, json.loads(out)["steps"][4]
+
+    def test_hang_one_is_unknown_within_a_second(self, capsys, tmp_path):
+        doc = {"gram": [[4, 0], [0, -244]], "polarization": [1, 0]}
+        code, s5 = self.check_s5(capsys, tmp_path, doc)
+        assert code == EXIT_UNKNOWN
+        assert s5["status"] == "unknown"
+        assert "search_bound" in s5["details"]["reason"]
+
+    @pytest.mark.parametrize(
+        "extra,code,status",
+        [({}, EXIT_UNKNOWN, "unknown"), ({"search_bound": 1020}, EXIT_PASS, "pass")],
+    )
+    def test_search_bound_raises_the_reach(self, capsys, tmp_path, extra, code, status):
+        doc = {"gram": [[4, 2], [2, -136]], "polarization": [1, 0], **extra}
+        got, s5 = self.check_s5(capsys, tmp_path, doc)
+        assert (got, s5["status"]) == (code, status)
+        if status == "pass":
+            # M = [[., -c*u], [a*u, .]] for f0 = x^2 + x*y - 34*y^2
+            (_, q), (r, _) = s5["details"]["isometry"]
+            assert (r, q) == (1039424, 34 * 1039424)
 
 
 class TestFactoringBound:

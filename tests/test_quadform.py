@@ -9,7 +9,9 @@ from latcert.lattice import GramLattice, norm
 from latcert import quadform
 from latcert.matrices import mat_vec
 from latcert.quadform import (
+    REASON_BOX,
     REASON_CONTENT,
+    REASON_DIVISOR,
     REASON_NONSQUARE_DISC,
     BinaryForm,
     PellSolution,
@@ -169,6 +171,17 @@ class TestRepresentsValue:
         rep = represents_value(paper_lattice, 0)
         assert rep.status == "no" and rep.reason == REASON_NONSQUARE_DISC
 
+    def test_square_discriminant_no_names_the_divisor_search(self):
+        # -8x^2 + 11xy factors over Z; no Pell walk runs
+        g = GramLattice.from_rows([[-16, 11], [11, 0]])
+        assert represents_value(g, -2) == Representation("no", None, REASON_DIVISOR)
+
+    def test_no_unit_value_in_the_box_is_box_exhausted(self):
+        # -8x^2 + 11xy + 3y^2 takes neither 1 nor -1 in the box-20 search
+        g = GramLattice.from_rows([[-16, 11], [11, 6]])
+        assert quadform._unimodular_to_leading_one(BinaryForm(-8, 11, 3), 20) is None
+        assert represents_value(g, -2) == Representation("unknown", None, REASON_BOX)
+
     @pytest.mark.parametrize("t", [4, 2, -1, 1, -4, 12, 2 * (10**14 + 31)])
     def test_rejects_targets_other_than_s2s(self, paper_lattice, t):
         # S2 asks only t = 0 and t = -2
@@ -286,6 +299,11 @@ class TestAutomorphGenerator:
     def test_rejects_square_discriminant(self):
         with pytest.raises(ValueError):
             automorph_generator(BinaryForm(1, 0, -1))
+
+    def test_scan_stops_at_the_square_of_the_bound(self):
+        # the least u of t^2 - 8u^2 = 4 is 2: past 1^2, within 2^2
+        assert automorph_generator(BinaryForm(1, 0, -2), 1) is None
+        assert automorph_generator(BinaryForm(1, 0, -2), 2) == ((3, 4), (2, 3))
 
 
 def test_pipeline_determinism(paper_lattice):

@@ -271,13 +271,15 @@ def small_isometries():
         f = quadform.BinaryForm(a, b, c)
         cont = quadform.content(f)
         disc = f.discriminant // (cont * cont)
-        if quadform._is_square(disc) or not any(
-            quadform._is_square(disc * u * u + 4) for u in range(1, 200)
-        ):
+        if quadform._is_square(disc):
             continue
+        # u <= 14^2 = 196 keeps the forms with u < 200, as none has its
+        # least u in 197..199
         gen = quadform.automorph_generator(
-            quadform.BinaryForm(a // cont, b // cont, c // cont)
+            quadform.BinaryForm(a // cont, b // cont, c // cont), 14
         )
+        if gen is None:
+            continue
         (p, q), (r, s) = gen
         inv = ((s, -q), (-r, p))
         gram = ((2 * a, b), (b, 2 * c))

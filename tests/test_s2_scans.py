@@ -21,8 +21,10 @@ from latcert import quadform
 from latcert.lattice import GramLattice, norm
 from latcert.matrices import from_rows, mat_mul, transpose
 from latcert.quadform import (
+    REASON_BOX,
     REASON_CONGRUENCE,
     REASON_CONTENT,
+    REASON_DIVISOR,
     REASON_NONSQUARE_DISC,
     REASON_PELL,
     BinaryForm,
@@ -112,7 +114,7 @@ def ref_decide_primitive(f0, t0, search_bound):
         w = quadform._divisor_search(f0, t0)
         if w is not None:
             return Representation(status="yes", witness=w)
-        return Representation(status="no", reason=REASON_PELL)
+        return Representation(status="no", reason=REASON_DIVISOR)
     if f0.a == 1:
         return ref_pell_class_search(f0, t0, search_bound)
     if f0.c == 1:
@@ -136,7 +138,7 @@ def ref_decide_primitive(f0, t0, search_bound):
     w = ref_first_witnesses(f0, min(FALLBACK_BOX, search_bound)).get(t0)
     if w is not None:
         return Representation(status="yes", witness=w)
-    return Representation(status="unknown", reason=REASON_PELL)
+    return Representation(status="unknown", reason=REASON_BOX)
 
 
 def ref_represents_value(g, t, search_bound=1000):
