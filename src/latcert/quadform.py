@@ -1,9 +1,10 @@
 """Diophantine kernel for binary quadratic forms of rank-2 lattices.
 
 Representability is decided only for S2's targets 0 and -2, on one
-bounded path (content and congruence filters, then one Pell-class search
-with an exact class bound, or box scans at one root solve per row) that
-returns an honest "unknown" when the search budget is exhausted.
+bounded path: content and congruence filters, then either the divisor
+search of a square discriminant or one Pell-class search, with an exact
+class bound, on the Lagrange-reduced form. Both are complete, so the one
+"unknown" is a class bound past the search budget, search_bound.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .lattice import GramLattice, determinant
-from .matrices import Matrix, mat_vec
+from .matrices import Matrix, mat_mul, mat_vec
 
 DEFAULT_MODULI = (3, 5, 16)
 # S2's default budget: the largest y the Pell-class search scans.
@@ -24,7 +25,6 @@ REASON_CONGRUENCE = "congruence-filter"
 REASON_NONSQUARE_DISC = "nonsquare-discriminant"
 REASON_PELL = "pell-exhausted"
 REASON_DIVISOR = "divisor-search"
-REASON_BOX = "box-exhausted"
 
 
 class BinaryForm(NamedTuple):
@@ -209,92 +209,73 @@ def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
 def _pell_class_search(
     f: BinaryForm, t: int, search_bound: int
 ) -> Representation:
-    """Decide f(x, y) = t for a form with leading coefficient 1 and
-    positive nonsquare discriminant.
+    """Decide f(x, y) = t for a form with a != 0 and positive nonsquare
+    discriminant D.
 
-    Completing the square gives u^2 - disc*y^2 = 4t with u = 2x + b*y.
-    Every solution class of the generalized Pell equation contains a
-    representative with |y| below an exact bound derived from the
-    fundamental unit (x, y), so a finite scan is a complete decision.
-    With n = 4t, that bound passes search_bound S whenever
-    y*|n| >= 2*S^2*sqrt(disc), as 2*(x - 1) < 2*y*sqrt(disc); the walk
-    to the unit stops there, and the answer is "yes" or "unknown".
+    With X = 2a*x + b*y, 4a*f(x, y) = X^2 - D*y^2, so f(x, y) = t is
+    X^2 - D*y^2 = n with n = 4a*t and X = b*y (mod 2a). The unit group
+    {+-(x1 + y1*sqrt D)^k} of X^2 - D*y^2 = 1 acts on the solutions of
+    X^2 - D*y^2 = n and keeps that congruence: the product with
+    x1 + y1*sqrt D has X' - b*y' = x1*(X - b*y) + y1*(D*y - b*X), and
+    D*y - b*X = (D - b^2)*y = -4ac*y = 0 (mod 2a); the product with -1
+    keeps it too. So each class of solutions of X^2 - D*y^2 = n under
+    the units either solves f = t throughout or nowhere, and its
+    fundamental solution has 0 <= y <= y1*sqrt(|n| / (2*(x1 - 1))), the
+    larger of Nagell's bounds for n > 0 and n < 0 (Introduction to
+    Number Theory, Theorems 108 and 108a). One scan of y up to that
+    bound, both signs of X, is therefore a complete decision, and
+    x = (X - b*y) / (2a) gives the witness.
+
+    The walk to the unit stops once that bound is sure to pass
+    search_bound S: as x1 - 1 < y1*sqrt D, it does whenever
+    y1*|n| >= 2*S^2*sqrt D. The answer is then "yes" or "unknown".
     """
-    if f.a != 1:
-        raise ValueError("the Pell-class search needs leading coefficient 1")
+    a, b, _ = f
     disc = f.discriminant
-    n = 4 * t
+    n = 4 * a * t
     fund = pell_fundamental(disc, math.isqrt(4 * search_bound**4 * disc // n**2) + 1)
     if fund is None:
         y_bound = search_bound + 1
     else:
         bound_sq = (fund.y * fund.y * abs(n)) // (2 * (fund.x - 1))
         y_bound = math.isqrt(bound_sq) + 1
+    rhs = n  # n + D*y^2, stepped by D*(2y + 1)
     for y in range(min(y_bound, search_bound) + 1):
-        rhs = n + disc * y * y
-        if rhs < 0 or not _is_square(rhs):
-            continue
-        u = math.isqrt(rhs)
-        for uu in ({u, -u} if u else {0}):
-            if (uu - f.b * y) % 2 == 0:
-                x = (uu - f.b * y) // 2
-                if f.evaluate(x, y) == t:
+        if rhs >= 0 and (u := math.isqrt(rhs)) * u == rhs:
+            for big_x in (-u, u):
+                x, rem = divmod(big_x - b * y, 2 * a)
+                if not rem:
                     return Representation(status="yes", witness=(x, y))
+        rhs += disc * (2 * y + 1)
     if y_bound > search_bound:
         return Representation(status="unknown", reason=REASON_PELL)
     return Representation(status="no", reason=REASON_PELL)
 
 
-def _int_roots(qa: int, qb: int, qc: int) -> list[int]:
-    """The integer roots of qa*y^2 + qb*y + qc = 0 (qa != 0), ascending."""
-    disc = qb * qb - 4 * qa * qc
-    if not _is_square(disc):
-        return []
-    s = math.isqrt(disc)
-    den = 2 * qa
-    return sorted({num // den for num in (-qb - s, -qb + s) if num % den == 0})
+def _reduce(f: BinaryForm) -> tuple[BinaryForm, Matrix]:
+    """The Lagrange reduction of a form with positive nonsquare
+    discriminant D, |b| <= |a| <= |c|, and the unimodular m (a
+    column-action matrix) with reduced(v) = f(m*v). A reduced form has
+    ac < 0 (else D <= a^2 - 4a^2), so D >= 4a^2 and |a| <= sqrt(D)/2.
 
-
-def _first_in_box(
-    f: BinaryForm, targets: tuple[int, ...], box: int
-) -> Optional[tuple[int, int]]:
-    """The first (r, s) in the box |r|, |s| <= box, r ascending, then s,
-    with f(r, s) in targets. Each row costs one square test of
-    D*r^2 + 4*c*t per target, and a root solve in s only on a hit:
-    O(box), not O(box^2) (c != 0, as callers pass only nonsquare
-    discriminants). A row r > 0 holds only mirrors (-r, -s) of hits in
-    row -r, so it is not scanned."""
+    Each pass moves b into (-|a|, |a|] by x -> x + k*y, then swaps the
+    variables if |c| < |a|. Where a and c share a sign,
+    4|ac| = b^2 - D < a^2, so the swap leaves |a| below a quarter of
+    what it was. Where they differ, D = b^2 + 4|ac|, and the swap is
+    the last: the next pass's b'' has |b''| <= |b|, so the new
+    |c| = (D - b''^2) / (4|c|) >= |a| > |c|. The loop thus takes
+    O(log |a|) passes."""
     a, b, c = f
-    disc = f.discriminant
-    for r in range(-box, 1):
-        hits = []  # a plain loop: a comprehension per row costs a call
-        for t in targets:
-            if _is_square(disc * r * r + 4 * c * t):
-                roots = _int_roots(c, b * r, a * r * r - t)
-                hits += [s for s in roots if -box <= s <= box]
-        if hits:
-            return r, min(hits)
-    return None
-
-
-def _unimodular_to_leading_one(
-    f: BinaryForm, box: int
-) -> Optional[tuple[BinaryForm, Matrix]]:
-    """An equivalent form with leading coefficient f(r, s) = +-1 at the
-    first such (r, s) of the box, and the change of variables (a
-    column-action matrix). gcd(r, s)^2 divides f(r, s) = +-1, so the
-    point is primitive and completes to a unimodular matrix."""
-    found = _first_in_box(f, (1, -1), box)
-    if found is None:
-        return None
-    r, s = found
-    _, xg, yg = _extended_gcd(r, s)
-    q, p = xg, -yg  # r*q - s*p = r*xg + s*yg = 1
-    a, b, c = f
-    a2 = f.evaluate(r, s)
-    b2 = 2 * a * r * p + b * (r * q + s * p) + 2 * c * s * q
-    c2 = f.evaluate(p, q)
-    return BinaryForm(a2, b2, c2), ((r, p), (s, q))
+    m = ((1, 0), (0, 1))
+    while True:
+        if abs(b) > abs(a):  # x -> x + k*y
+            k = (abs(a) - b) // (2 * abs(a)) * (1 if a > 0 else -1)
+            b, c = b + 2 * a * k, (a * k + b) * k + c
+            m = mat_mul(m, ((1, k), (0, 1)))
+        elif abs(a) > abs(c):  # swap the variables
+            a, c, m = c, a, mat_mul(m, ((0, 1), (1, 0)))
+        else:
+            return BinaryForm(a, b, c), m
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -347,29 +328,16 @@ def _decide_primitive(
     f0: BinaryForm, t0: int, search_bound: int
 ) -> Representation:
     """A square discriminant goes to the complete `_divisor_search`. Any
-    other f0 takes one path: a change of variables m to a or c = +-1 (the
-    identity, else `_unimodular_to_leading_one`'s box-20 point), a sign
-    making it 1, a swap putting it first, and one Pell-class search of at
-    most search_bound + 1 rows; with no +-1 in the box, a box-50 scan."""
+    other f0 takes one path: its Lagrange reduction by `_reduce`, one
+    Pell-class search of at most search_bound + 1 rows on the reduced
+    form, and the witness mapped back through the reduction's matrix."""
     if _is_square(f0.discriminant):
         w = _divisor_search(f0, t0)
         if w is None:
             return Representation(status="no", reason=REASON_DIVISOR)
         return Representation(status="yes", witness=w)
-    f1, m = f0, ((1, 0), (0, 1))
-    if not {f0.a, f0.c} & {1, -1}:
-        found = _unimodular_to_leading_one(f0, box=20)
-        if found is None:
-            w = _first_in_box(f0, (t0,), min(50, search_bound))
-            if w is None:
-                return Representation(status="unknown", reason=REASON_BOX)
-            return Representation(status="yes", witness=w)
-        f1, m = found
-    sign = 1 if 1 in (f1.a, f1.c) else -1
-    a, b, c = sign * f1.a, sign * f1.b, sign * f1.c
-    if a != 1:  # swap the variables: a and c trade places, as do m's columns
-        a, c, m = c, a, (m[0][::-1], m[1][::-1])
-    r = _pell_class_search(BinaryForm(a, b, c), sign * t0, search_bound)
+    f1, m = _reduce(f0)
+    r = _pell_class_search(f1, t0, search_bound)
     return r._replace(witness=mat_vec(m, r.witness)) if r.witness else r
 
 

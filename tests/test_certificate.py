@@ -211,7 +211,7 @@ class TestS5:
     def test_never_unknown_on_golden_inputs(self):
         # n divides 2, 4 or 6 on S5's path (the proof is in the docstring
         # of discgroup.action_order), so action_order always finds it, and
-        # no golden input that reaches S5 has its least u above 106,000,
+        # no golden input that reaches S5 has its least u above 396,000,
         # inside the default budget u <= BOUND^2. Census pairs whose golden
         # report skips S5 are left out: S1-S3 do not all pass for them.
         statuses = []
@@ -229,7 +229,7 @@ class TestS5:
                 assert type(n) is int and n in (1, 2, 3, 4, 6), doc
             statuses.append((entry["family"], result.status))
         assert statuses.count(("sigma^k", "pass")) == 64
-        assert statuses.count(("census", "pass")) == 186
+        assert statuses.count(("census", "pass")) == 221
 
     def test_no_order_is_an_invariant_error(self, monkeypatch, paper_lattice, sigma):
         monkeypatch.setattr(certificate, "action_order", lambda action: None)

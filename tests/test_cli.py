@@ -212,8 +212,9 @@ class TestVerify:
             ([[4, 20], [20, 4]], 1, True, "confirmed", EXIT_PASS),
             # content 2: the box the unit s^2 - 40u^2 = 4, (s, u) = (38, 6), gives
             ([[4, 0], [0, -10]], 5, True, "confirmed", EXIT_FAIL),
-            # complete, but S2 answers "unknown", so there is no pass to confirm
-            ([[4, 0], [0, -82]], 13, True, "agree", EXIT_UNKNOWN),
+            # content 2: 2x^2 - 41y^2 takes no value +-1, and the
+            # Pell-class search runs on it as it is, already reduced
+            ([[4, 0], [0, -82]], 13, True, "confirmed", EXIT_PASS),
             # the derived box is wider than MAX_BOX_RADIUS: refute-only scan
             ([[4, 0], [0, -94]], DEFAULT_BOX_RADIUS, False, "agree", EXIT_PASS),
         ],

@@ -290,11 +290,10 @@ LOOP_LEDGER = {
     ("quadform", "_attains_mod", "for", 2): ("budget", "quadform.DEFAULT_MODULI"),
     ("quadform", "_divisor_search", "for", 1): ("constant", "d1 in 1, -1, 2, -2"),
     ("quadform", "_pell_class_search", "for", 1): ("budget", "search_bound"),
-    ("quadform", "_pell_class_search", "for", 2): ("constant", "u, -u"),
-    ("quadform", "_int_roots", "setcomp", 1): ("constant", "2 roots"),
-    ("quadform", "_first_in_box", "for", 1): ("constant", "box <= 50"),
-    ("quadform", "_first_in_box", "for", 2): ("constant", "<= 2 targets"),
-    ("quadform", "_first_in_box", "listcomp", 1): ("constant", "<= 2 roots"),
+    ("quadform", "_pell_class_search", "for", 2): ("constant", "-u, u"),
+    # a pass that keeps a and c of one sign quarters |a|; one more swap
+    # at most follows the first that does not (proof in the docstring)
+    ("quadform", "_reduce", "while", 1): ("bits", "log of |a|"),
     ("quadform", "_extended_gcd", "while", 1): ("bits", "Euclid's steps"),
     # u = 1..search_bound^2: hang 1, [[4, 0], [0, -244]], whose least u is
     # 226,153,980, stops at u = 10^6 and makes S5 "unknown"

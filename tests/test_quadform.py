@@ -9,10 +9,10 @@ from latcert.lattice import GramLattice, norm
 from latcert import quadform
 from latcert.matrices import mat_vec
 from latcert.quadform import (
-    REASON_BOX,
     REASON_CONTENT,
     REASON_DIVISOR,
     REASON_NONSQUARE_DISC,
+    REASON_PELL,
     BinaryForm,
     PellSolution,
     Representation,
@@ -176,11 +176,15 @@ class TestRepresentsValue:
         g = GramLattice.from_rows([[-16, 11], [11, 0]])
         assert represents_value(g, -2) == Representation("no", None, REASON_DIVISOR)
 
-    def test_no_unit_value_in_the_box_is_box_exhausted(self):
-        # -8x^2 + 11xy + 3y^2 takes neither 1 nor -1 in the box-20 search
+    def test_no_small_unit_value_is_decided_on_the_reduced_form(self):
+        # -8x^2 + 11xy + 3y^2 takes neither 1 nor -1 with |x|, |y| <= 20;
+        # its reduction 6x^2 - 5xy - 8y^2 is searched instead
         g = GramLattice.from_rows([[-16, 11], [11, 6]])
-        assert quadform._unimodular_to_leading_one(BinaryForm(-8, 11, 3), 20) is None
-        assert represents_value(g, -2) == Representation("unknown", None, REASON_BOX)
+        reduced, m = quadform._reduce(BinaryForm(-8, 11, 3))
+        assert reduced == BinaryForm(6, -5, -8) and m == ((1, 1), (1, 0))
+        rep = represents_value(g, -2)
+        assert rep == Representation("yes", (52, -223))
+        assert norm(g, rep.witness) == -2
 
     @pytest.mark.parametrize("t", [4, 2, -1, 1, -4, 12, 2 * (10**14 + 31)])
     def test_rejects_targets_other_than_s2s(self, paper_lattice, t):
@@ -252,9 +256,25 @@ class TestRepresentsValue:
         with pytest.raises(RuntimeError, match=r"\(1, 0\) does not represent -2"):
             represents_value(g, -2)
 
-    def test_pell_class_search_needs_leading_coefficient_one(self):
-        with pytest.raises(ValueError, match="leading coefficient 1"):
-            quadform._pell_class_search(BinaryForm(2, 1, -1), -1, 10)
+    @pytest.mark.parametrize(
+        "f, t, status",
+        [
+            (BinaryForm(2, 1, -2), -1, "yes"),  # at (1, -1)
+            (BinaryForm(-3, 1, 5), -1, "yes"),  # at (3, 2)
+            # the unit 163 + 9*sqrt(328) bounds the class search by y <= 1
+            (BinaryForm(2, 0, -41), -1, "no"),
+            # the unit of 149 has y1 = 2113761020: the class bound is
+            # 58,850 rows, past a search bound of 10
+            (BinaryForm(-5, 3, 7), 2, "unknown"),
+        ],
+    )
+    def test_pell_class_search_takes_any_leading_coefficient(self, f, t, status):
+        rep = quadform._pell_class_search(f, t, 10)
+        assert rep.status == status
+        if status == "yes":
+            assert f.evaluate(*rep.witness) == t
+        else:
+            assert rep == Representation(status, None, REASON_PELL)
 
 
 class TestAutomorphGenerator:
