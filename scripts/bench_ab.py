@@ -9,8 +9,13 @@ one run at a time, flipping which side runs first from pair to pair.
 Every run's last stdout line (the result object) is kept. The output
 file holds the runs and, per workload and end-to-end metric of
 CHANGE_DIR's BENCHMARK.json, each side's quartiles
-(statistics.quantiles, n=4) and the number of pairs the change won,
-ties counting for neither side. Standard library only.
+(statistics.quantiles, n=4), the number of pairs the change won, ties
+counting for neither side, and the median of the per-pair ratios
+change / parent (`pair_ratio_median`; pairs whose parent value is 0 are
+left out). The two sides of a pair run back to back, so a slowdown of
+the host in the middle of a workload moves both and leaves their ratio,
+while it can move one side's median more than the other's. Standard
+library only.
 
 The output file's `verdicts` block judges each --claim WORKLOAD:METRIC
 (repeatable; `claims` is empty without one). A claim is met only when
@@ -21,9 +26,10 @@ parent's by more than the metric's relative bound in BENCHMARK.json,
 with or without a claim. `unresolved` lists every end-to-end metric
 whose parent runs spread too widely to judge it against that bound (an
 interquartile range wider than bound x |parent median|), unless every
-change run beats every parent run. `failed_share` gives, per workload
-and side, the failed ops over the attempted ones, summed over the runs,
-and whether the change's share grew.
+change run beats every parent run. Each `regressed` and `unresolved`
+entry carries the metric's `pair_ratio_median`. `failed_share` gives,
+per workload and side, the failed ops over the attempted ones, summed
+over the runs, and whether the change's share grew.
 """
 
 from __future__ import annotations
@@ -72,6 +78,13 @@ def paired(runs: list[dict], workload: str, metric: dict) -> tuple[list, list, i
     return parent, change, won
 
 
+def pair_ratio_median(parent: list[float], change: list[float]):
+    """The median of change / parent over the pairs, seed by seed, whose
+    parent value is not 0; None when there is no such pair."""
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    return round(statistics.median(ratios), 4) if ratios else None
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: the seeds, and per metric each side's quartiles
     and the pairs the change won."""
@@ -85,6 +98,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "parent_q1_median_q3": quartiles(parent),
                 "change_q1_median_q3": quartiles(change),
                 "change_better_pairs": f"{won}/{len(seeds)}",
+                "pair_ratio_median": pair_ratio_median(parent, change),
             }
         out[workload] = {"seeds": seeds, "metrics": table}
     return out
@@ -120,6 +134,7 @@ def verdicts(runs: list[dict], metrics: list[dict], claims: list[str]) -> dict:
                     "workload": workload, "metric": metric["name"],
                     "parent_median": round(p_med, 4), "change_median": round(c_med, 4),
                     "bound": metric["bound"],
+                    "pair_ratio_median": pair_ratio_median(parent, change),
                 })
             q1, _, q3 = statistics.quantiles(parent, n=4)
             separated = max(change) < min(parent) if lower else min(change) > max(parent)
@@ -128,6 +143,7 @@ def verdicts(runs: list[dict], metrics: list[dict], claims: list[str]) -> dict:
                     "workload": workload, "metric": metric["name"],
                     "parent_median": round(p_med, 4), "parent_iqr": round(q3 - q1, 4),
                     "bound": metric["bound"],
+                    "pair_ratio_median": pair_ratio_median(parent, change),
                 })
         share = {}
         for side in ("parent", "change"):

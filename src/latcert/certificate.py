@@ -157,6 +157,8 @@ def check_S2_no_0_minus2(g: GramLattice, search_bound: int) -> StepResult:
     for target in (0, -2):
         rep = quadform.represents_value(g, target, search_bound)
         details[f"t={target}"] = {"status": rep.status, "reason": rep.reason}
+        if rep.steps is not None:  # the rho-steps of the cycle walk
+            details[f"t={target}"]["steps"] = rep.steps
         if rep.status == "yes":
             witnesses.append({"target": target, "vector": rep.witness})
         elif rep.status == "unknown":

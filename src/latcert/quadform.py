@@ -1,10 +1,9 @@
 """Diophantine kernel for binary quadratic forms of rank-2 lattices.
 
 Representability is decided only for S2's targets 0 and -2, on one
-bounded path: content and congruence filters, then either the divisor
-search of a square discriminant or one Pell-class search, with an exact
-class bound, on the Lagrange-reduced form. Both are complete, so the one
-"unknown" is a class bound past the search budget, search_bound.
+bounded path: content and congruence filters, then the divisor search
+of a square discriminant or one walk of the reduced rho-cycle. Both are
+complete; the one "unknown" is a cycle past search_bound rho-steps.
 """
 
 from __future__ import annotations
@@ -16,14 +15,14 @@ from .lattice import GramLattice, determinant
 from .matrices import Matrix, mat_mul, mat_vec
 
 DEFAULT_MODULI = (3, 5, 16)
-# S2's default budget: the largest y the Pell-class search scans.
+# S2's default budget: the most rho-steps its cycle walk takes.
 DEFAULT_SEARCH_BOUND = 1000
 
 # Reason codes for negative/unknown representability outcomes.
 REASON_CONTENT = "content-divisibility"
 REASON_CONGRUENCE = "congruence-filter"
 REASON_NONSQUARE_DISC = "nonsquare-discriminant"
-REASON_PELL = "pell-exhausted"
+REASON_CYCLE = "reduced-cycle"
 REASON_DIVISOR = "divisor-search"
 
 
@@ -65,6 +64,7 @@ class Representation(NamedTuple):
     status: str  # "yes", "no" or "unknown"
     witness: Optional[tuple[int, int]] = None
     reason: Optional[str] = None
+    steps: Optional[int] = None  # rho-steps walked around the cycle
 
 
 def _is_square(n: int) -> bool:
@@ -206,76 +206,81 @@ def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _pell_class_search(
-    f: BinaryForm, t: int, search_bound: int
-) -> Representation:
-    """Decide f(x, y) = t for a form with a != 0 and positive nonsquare
-    discriminant D.
-
-    With X = 2a*x + b*y, 4a*f(x, y) = X^2 - D*y^2, so f(x, y) = t is
-    X^2 - D*y^2 = n with n = 4a*t and X = b*y (mod 2a). The unit group
-    {+-(x1 + y1*sqrt D)^k} of X^2 - D*y^2 = 1 acts on the solutions of
-    X^2 - D*y^2 = n and keeps that congruence: the product with
-    x1 + y1*sqrt D has X' - b*y' = x1*(X - b*y) + y1*(D*y - b*X), and
-    D*y - b*X = (D - b^2)*y = -4ac*y = 0 (mod 2a); the product with -1
-    keeps it too. So each class of solutions of X^2 - D*y^2 = n under
-    the units either solves f = t throughout or nowhere, and its
-    fundamental solution has 0 <= y <= y1*sqrt(|n| / (2*(x1 - 1))), the
-    larger of Nagell's bounds for n > 0 and n < 0 (Introduction to
-    Number Theory, Theorems 108 and 108a). One scan of y up to that
-    bound, both signs of X, is therefore a complete decision, and
-    x = (X - b*y) / (2a) gives the witness.
-
-    The walk to the unit stops once that bound is sure to pass
-    search_bound S: as x1 - 1 < y1*sqrt D, it does whenever
-    y1*|n| >= 2*S^2*sqrt D. The answer is then "yes" or "unknown".
-    """
-    a, b, _ = f
-    disc = f.discriminant
-    n = 4 * a * t
-    fund = pell_fundamental(disc, math.isqrt(4 * search_bound**4 * disc // n**2) + 1)
-    if fund is None:
-        y_bound = search_bound + 1
-    else:
-        bound_sq = (fund.y * fund.y * abs(n)) // (2 * (fund.x - 1))
-        y_bound = math.isqrt(bound_sq) + 1
-    rhs = n  # n + D*y^2, stepped by D*(2y + 1)
-    for y in range(min(y_bound, search_bound) + 1):
-        if rhs >= 0 and (u := math.isqrt(rhs)) * u == rhs:
-            for big_x in (-u, u):
-                x, rem = divmod(big_x - b * y, 2 * a)
-                if not rem:
-                    return Representation(status="yes", witness=(x, y))
-        rhs += disc * (2 * y + 1)
-    if y_bound > search_bound:
-        return Representation(status="unknown", reason=REASON_PELL)
-    return Representation(status="no", reason=REASON_PELL)
-
-
-def _reduce(f: BinaryForm) -> tuple[BinaryForm, Matrix]:
-    """The Lagrange reduction of a form with positive nonsquare
-    discriminant D, |b| <= |a| <= |c|, and the unimodular m (a
-    column-action matrix) with reduced(v) = f(m*v). A reduced form has
-    ac < 0 (else D <= a^2 - 4a^2), so D >= 4a^2 and |a| <= sqrt(D)/2.
-
-    Each pass moves b into (-|a|, |a|] by x -> x + k*y, then swaps the
-    variables if |c| < |a|. Where a and c share a sign,
-    4|ac| = b^2 - D < a^2, so the swap leaves |a| below a quarter of
-    what it was. Where they differ, D = b^2 + 4|ac|, and the swap is
-    the last: the next pass's b'' has |b''| <= |b|, so the new
-    |c| = (D - b''^2) / (4|c|) >= |a| > |c|. The loop thus takes
-    O(log |a|) passes."""
+def _rho(f: BinaryForm, s: int) -> tuple[BinaryForm, int]:
+    """rho(f) = f o [[0, -1], [1, k]] = (c, r, (r^2 - D) / (4c)) and its
+    k, for f = (a, b, c) of nonsquare discriminant D and s = isqrt(D):
+    r = -b + 2ck lies in (-|c|, |c|] when |c| > s, else in (s - 2|c|, s],
+    that is (sqrt D - 2|c|, sqrt D). det = 1 keeps proper equivalence."""
     a, b, c = f
+    top = max(abs(c), s)
+    k = (top - (top + b) % (2 * abs(c)) + b) // (2 * c)
+    return BinaryForm(c, 2 * c * k - b, a + k * (c * k - b)), k
+
+
+def _rho_reduce(f: BinaryForm, s: int) -> tuple[BinaryForm, list[int]]:
+    """The first reduced form, |sqrt D - 2|a|| < b < sqrt D, of f's
+    rho-orbit, and each step's k. |c| > s gives |c'| <= |c| / 4, as r^2
+    and D are at most c^2; |c| < sqrt(D) / 2 makes r's interval the
+    reduced one; sqrt(D) / 2 < |c| < sqrt D gives |c'| < sqrt(D) / 2.
+    So the loop takes at most log4(|c| / sqrt D) + 3 steps."""
+    ks = []
+    while not (s - 2 * abs(f.a) < f.b <= s and 2 * abs(f.a) <= f.b + s):
+        f, k = _rho(f, s)
+        ks.append(k)
+    return f, ks
+
+
+def _rho_matrix(ks: list[int]) -> Matrix:
+    """The product of the steps' matrices [[0, -1], [1, k]], in order."""
     m = ((1, 0), (0, 1))
-    while True:
-        if abs(b) > abs(a):  # x -> x + k*y
-            k = (abs(a) - b) // (2 * abs(a)) * (1 if a > 0 else -1)
-            b, c = b + 2 * a * k, (a * k + b) * k + c
-            m = mat_mul(m, ((1, k), (0, 1)))
-        elif abs(a) > abs(c):  # swap the variables
-            a, c, m = c, a, mat_mul(m, ((0, 1), (1, 0)))
+    for k in ks:
+        m = mat_mul(m, ((0, -1), (1, k)))
+    return m
+
+
+def _cycle_search(f0: BinaryForm, t0: int, search_bound: int) -> Representation:
+    """Decide f0(x, y) = t0 for a primitive f0 of nonsquare discriminant
+    D > 0 and a squarefree t0. Every solution is then primitive, the
+    first column of some M in SL2(Z) with f0 o M = (t0, beta, gamma),
+    and beta moves by 2*t0 with M's second column. So f0 represents t0
+    exactly when it is properly equivalent to some such form with
+    0 <= beta < 2|t0|, and two reduced forms are so exactly when they lie
+    on one rho-cycle (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).
+    rev(a, b, c) = (c, b, a) keeps a form reduced, and rho(rev(rho(f)))
+    = rev(f): the walk goes both ways from f0's reduced form, a step
+    each in turn. It says "yes" at a reduced target, "no" when its ends
+    meet, after the period, a class invariant, and "unknown" after
+    search_bound steps. The witness is the first column of m(f0) *
+    m(walk) * m(target)^-1, m conjugated by rev's swap when backwards."""
+    disc = f0.discriminant
+    s = math.isqrt(disc)
+    start, to_start = _rho_reduce(f0, s)
+    targets = dict(  # the reduced (t0, beta, gamma), at most two
+        _rho_reduce(BinaryForm(t0, beta, (beta * beta - disc) // (4 * t0)), s)
+        for beta in range(2 * abs(t0)) if (beta * beta - disc) % (4 * t0) == 0
+    )
+    # rev is [::-1]; rev(bwd) walks f0's cycle backwards
+    fwd, bwd, fwd_ks, bwd_ks, steps = start, BinaryForm(*start[::-1]), [], [], 0
+    while fwd not in targets and bwd[::-1] not in targets:
+        if steps == search_bound:
+            return Representation("unknown", reason=REASON_CYCLE, steps=steps)
+        if steps % 2:
+            bwd, k = _rho(bwd, s)
+            bwd_ks.append(k)
         else:
-            return BinaryForm(a, b, c), m
+            fwd, k = _rho(fwd, s)
+            fwd_ks.append(k)
+        steps += 1
+        if fwd == bwd[::-1]:
+            return Representation("no", reason=REASON_CYCLE, steps=steps)
+    if fwd in targets:
+        (_, _), (r, u) = _rho_matrix(targets[fwd])
+        x, y = mat_vec(_rho_matrix(fwd_ks), (u, -r))
+    else:
+        (_, _), (r, u) = _rho_matrix(targets[bwd[::-1]])
+        y, x = mat_vec(_rho_matrix(bwd_ks), (-r, u))
+    witness = mat_vec(_rho_matrix(to_start), (x, y))
+    return Representation("yes", witness, steps=steps)
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -301,8 +306,7 @@ def represents_value(
     signature (1,1) exactly when its determinant is negative.
 
     One path: zero criterion / content filter / congruence filter /
-    `_decide_primitive` on the primitive part, whose one Pell-class
-    search scans at most search_bound + 1 rows.
+    `_decide_primitive` on the primitive part, at most search_bound steps.
     """
     if t not in (0, -2):
         raise ValueError(f"represents_value decides t = 0 and t = -2 only, not {t}")
@@ -324,21 +328,15 @@ def represents_value(
     return result
 
 
-def _decide_primitive(
-    f0: BinaryForm, t0: int, search_bound: int
-) -> Representation:
-    """A square discriminant goes to the complete `_divisor_search`. Any
-    other f0 takes one path: its Lagrange reduction by `_reduce`, one
-    Pell-class search of at most search_bound + 1 rows on the reduced
-    form, and the witness mapped back through the reduction's matrix."""
+def _decide_primitive(f0: BinaryForm, t0: int, search_bound: int) -> Representation:
+    """A square discriminant goes to the complete `_divisor_search`, any
+    other to the walk of f0's reduced cycle, `_cycle_search`."""
     if _is_square(f0.discriminant):
         w = _divisor_search(f0, t0)
         if w is None:
             return Representation(status="no", reason=REASON_DIVISOR)
         return Representation(status="yes", witness=w)
-    f1, m = _reduce(f0)
-    r = _pell_class_search(f1, t0, search_bound)
-    return r._replace(witness=mat_vec(m, r.witness)) if r.witness else r
+    return _cycle_search(f0, t0, search_bound)
 
 
 def automorph_generator(

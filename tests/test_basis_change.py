@@ -1,17 +1,16 @@
 """Answers are invariants of the lattice, not of its basis. A change of
 basis P in GL2(Z) maps G to P^T G P, h to P^-1 h and an isometry M to
-P^-1 M P. S2's Pell-class search has a budget, and its class bound
-grows with the leading coefficient of the reduced form a basis leads
-to, so it may decide in one basis and answer "unknown" in another. It
-must never answer "yes" in one basis and "no" in another, every witness
-must map back by P to a vector of the target norm, and every decided
-answer at -2 must be the value referee's wherever the referee has one.
-The count of such flips at -2 is a ratchet that may only shrink,
-towards none. The invariant factors and S4's classes agree across
-bases, and on the paper Gram with an isometry so do the verdict, n and
-the characteristic polynomial. S5 runs only with an isometry supplied:
-the automorph scan without one takes its whole u <= search_bound^2
-budget on some census Grams."""
+P^-1 M P. S2's cycle walk has a budget, and the steps from the reduced
+form a basis leads to up to a target depend on that basis, while its
+"no" (the period) does not. On these Grams every t = -2 query is
+decided in every basis: no answer is "yes" in one basis and "no" or
+"unknown" in another, every witness maps back by P to a vector of the
+target norm, and every answer at -2 is the value referee's wherever
+the referee has one. The invariant factors and S4's classes agree
+across bases, and on the paper Gram with an isometry so do the verdict,
+n and the characteristic polynomial. S5 runs only with an isometry
+supplied: the automorph scan without one takes its whole
+u <= search_bound^2 budget on some census Grams."""
 
 import random
 
@@ -34,11 +33,6 @@ ELEMENTARY = (
     lambda k: ((0, 1), (1, 0)),
     lambda k: ((1, 0), (0, -1)),
 )
-
-# t = -2 query pairs that are decided in one basis and "unknown" in the
-# other, at the seeds below; these may only shrink.
-CENSUS_FLIPS = 0  # of 1,350
-SWEEP_FLIPS = 11  # of 4,722
 
 
 def basis_changes(rng, count):
@@ -105,7 +99,7 @@ def test_census_window_answers_agree_across_bases():
         truth = referee(g)
         for p, p_inv in basis_changes(rng, 3):
             flips += assert_same_answers(g, p, p_inv, (1, 0), truth)
-    assert flips <= CENSUS_FLIPS
+    assert flips == 0  # of 1,350 query pairs
 
 
 def test_small_sweep_answers_agree_across_bases():
@@ -121,7 +115,7 @@ def test_small_sweep_answers_agree_across_bases():
         truth = referee(g)
         for p, p_inv in basis_changes(rng, 2):
             flips += assert_same_answers(g, p, p_inv, h, truth)
-    assert flips <= SWEEP_FLIPS
+    assert flips == 0  # of 4,722 query pairs
 
 
 def test_paper_gram_with_sigma_powers_agrees_across_bases():

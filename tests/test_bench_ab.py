@@ -5,7 +5,9 @@ listed as regressed when the change's median is worse than the parent's
 by more than its relative bound, and as unresolved when the parent's
 interquartile range is wider than that bound unless every change run
 beats every parent run; the failed share is failed over attempted ops
-per workload and side. No benchmark runs here."""
+per workload and side; the median of the per-pair change/parent ratios
+shows a host slowdown that hits both sides of some pairs. No benchmark
+runs here."""
 
 import importlib.util
 import json
@@ -121,6 +123,35 @@ def test_failed_share_per_workload_and_side():
         "census": {"parent": 0.01, "change": 0.03, "grew": True},
         "bitsize": {"parent": 0.005, "change": 0.005, "grew": False},
     }
+
+
+def test_pair_ratio_median_sees_through_a_mid_run_host_slowdown():
+    # the change is 10% slower. The host ran twice as slow from the
+    # change's run of pair 2 to the change's run of pair 6: 5 change runs
+    # and 4 parent runs. The change's median moves 65% past the parent's,
+    # and op_ms.p50 reads as regressed, while the per-pair ratio says 1.1.
+    parent = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0]
+    change = [1.1, 1.1, 2.2, 2.2, 2.2, 2.2, 2.2, 1.1, 1.1, 1.1]
+    runs = runs_of("census", parent, change)
+    p50 = bench_ab.summarize(runs, METRICS)["census"]["metrics"]["op_ms.p50"]
+    assert p50["pair_ratio_median"] == 1.1
+    (entry,) = bench_ab.verdicts(runs, METRICS, [])["regressed"]
+    assert (entry["metric"], entry["parent_median"], entry["change_median"]) == (
+        "op_ms.p50",
+        1.0,
+        1.65,
+    )
+    assert entry["pair_ratio_median"] == 1.1
+
+
+def test_pair_ratio_median_skips_pairs_with_a_zero_parent():
+    assert bench_ab.pair_ratio_median([0, 2.0, 4.0, 1.0], [1.0, 3.0, 4.0, 3.0]) == 1.5
+    assert bench_ab.pair_ratio_median([0, 0], [1.0, 2.0]) is None
+    # the unresolved entries carry it too
+    parent = [0.6, 0.8, 1.0, 1.2, 1.4, 0.6, 0.8, 1.0, 1.2, 1.4]
+    runs = runs_of("cli", parent, [p * 1.1 for p in parent])
+    (entry,) = bench_ab.verdicts(runs, METRICS, [])["unresolved"]
+    assert entry["pair_ratio_median"] == 1.1
 
 
 def test_main_without_a_claim_still_lists_regressions(monkeypatch, tmp_path):

@@ -176,7 +176,8 @@ class TestVerify:
         return code, json.loads(out)
 
     def test_s2_witness_outside_box_agrees(self, capsys, tmp_path):
-        # S2 fails with (-29718, 3805), far outside the radius-50 box.
+        # S2 fails with (-29718, -3805), far outside the radius-50 box,
+        # 21 steps around the reduced cycle.
         doc = {
             "gram": [[2, 0], [0, -122]],
             "polarization": [1, 0],
@@ -186,7 +187,7 @@ class TestVerify:
         assert code == EXIT_FAIL
         s2 = report["steps"][1]
         assert s2["status"] == "fail"
-        assert s2["witness"] == [{"target": -2, "vector": [-29718, 3805]}]
+        assert s2["witness"] == [{"target": -2, "vector": [-29718, -3805]}]
         assert report["verify"]["values_box_scan"]["status"] == "agree"
 
     def test_negated_polarization_agrees(self, capsys, tmp_path):
@@ -610,8 +611,8 @@ def run_under_alarm(seconds, capsys, *argv):
 
 
 def test_eighteen_digit_entry_answers_within_a_second(capsys, tmp_path):
-    # S2 computed the whole fundamental unit of D ~ 4.9e17 before its
-    # search bound capped the y scan, and ran past 20 s
+    # D ~ 4.9e17 has a huge fundamental unit; the walk of the reduced
+    # cycle stops after search_bound steps
     path = tmp_path / "doc.json"
     path.write_text(
         json.dumps(
@@ -623,7 +624,11 @@ def test_eighteen_digit_entry_answers_within_a_second(capsys, tmp_path):
     )
     assert code == EXIT_UNKNOWN
     s2 = json.loads(out)["steps"][1]
-    assert s2["details"]["t=-2"] == {"status": "unknown", "reason": "pell-exhausted"}
+    assert s2["details"]["t=-2"] == {
+        "status": "unknown",
+        "reason": "reduced-cycle",
+        "steps": 1000,
+    }
 
 
 class TestAutomorphBudget:

@@ -289,11 +289,14 @@ LOOP_LEDGER = {
     ("quadform", "_attains_mod", "for", 1): ("budget", "quadform.DEFAULT_MODULI"),
     ("quadform", "_attains_mod", "for", 2): ("budget", "quadform.DEFAULT_MODULI"),
     ("quadform", "_divisor_search", "for", 1): ("constant", "d1 in 1, -1, 2, -2"),
-    ("quadform", "_pell_class_search", "for", 1): ("budget", "search_bound"),
-    ("quadform", "_pell_class_search", "for", 2): ("constant", "-u, u"),
-    # a pass that keeps a and c of one sign quarters |a|; one more swap
-    # at most follows the first that does not (proof in the docstring)
-    ("quadform", "_reduce", "while", 1): ("bits", "log of |a|"),
+    # |c| quarters while it is above sqrt D, then at most 3 more steps
+    # (proof in the docstring)
+    ("quadform", "_rho_reduce", "while", 1): ("bits", "log4(|c| / sqrt D) + 3"),
+    # a walk of at most search_bound steps and the reductions' O(bits)
+    ("quadform", "_rho_matrix", "for", 1): ("budget", "search_bound"),
+    ("quadform", "_cycle_search", "genexp", 1): ("constant", "beta < 2|t0| <= 4"),
+    # one rho-step per pass, at most search_bound of them
+    ("quadform", "_cycle_search", "while", 1): ("budget", "search_bound"),
     ("quadform", "_extended_gcd", "while", 1): ("bits", "Euclid's steps"),
     # u = 1..search_bound^2: hang 1, [[4, 0], [0, -244]], whose least u is
     # 226,153,980, stops at u = 10^6 and makes S5 "unknown"

@@ -12,7 +12,7 @@ from latcert.quadform import (
     REASON_CONTENT,
     REASON_DIVISOR,
     REASON_NONSQUARE_DISC,
-    REASON_PELL,
+    REASON_CYCLE,
     BinaryForm,
     PellSolution,
     Representation,
@@ -100,6 +100,12 @@ class TestPellFundamental:
         assert sol.x * sol.x - 61 * sol.y * sol.y == 1
         assert sol.y == 226153980
 
+    def test_walk_stops_past_the_limit(self):
+        # 1766319049^2 - 61 * 226153980^2 = 1 is the least solution
+        for limit in (226153980, 10**12, 10**4300):
+            assert pell_fundamental(61, limit) == (1766319049, 226153980, 61)
+        assert pell_fundamental(61, 10**6) is None
+
     @pytest.mark.parametrize("d", [d for d in range(2, 40) if int(d**0.5) ** 2 != d])
     def test_minimality_against_oracle(self, d):
         sol = pell_fundamental(d, 10**4)  # y = 1820 at d = 29 is the largest
@@ -176,14 +182,15 @@ class TestRepresentsValue:
         g = GramLattice.from_rows([[-16, 11], [11, 0]])
         assert represents_value(g, -2) == Representation("no", None, REASON_DIVISOR)
 
-    def test_no_small_unit_value_is_decided_on_the_reduced_form(self):
+    def test_no_small_unit_value_is_decided_on_the_reduced_cycle(self):
         # -8x^2 + 11xy + 3y^2 takes neither 1 nor -1 with |x|, |y| <= 20;
-        # its reduction 6x^2 - 5xy - 8y^2 is searched instead
+        # it is reduced already, and -1 is found 11 rho-steps around its
+        # cycle
         g = GramLattice.from_rows([[-16, 11], [11, 6]])
-        reduced, m = quadform._reduce(BinaryForm(-8, 11, 3))
-        assert reduced == BinaryForm(6, -5, -8) and m == ((1, 1), (1, 0))
+        f = BinaryForm(-8, 11, 3)
+        assert quadform._rho_reduce(f, math.isqrt(f.discriminant)) == (f, [])
         rep = represents_value(g, -2)
-        assert rep == Representation("yes", (52, -223))
+        assert rep == Representation("yes", (52, -223), None, 11)
         assert norm(g, rep.witness) == -2
 
     @pytest.mark.parametrize("t", [4, 2, -1, 1, -4, 12, 2 * (10**14 + 31)])
@@ -257,24 +264,27 @@ class TestRepresentsValue:
             represents_value(g, -2)
 
     @pytest.mark.parametrize(
-        "f, t, status",
+        "f, t, status, steps",
         [
-            (BinaryForm(2, 1, -2), -1, "yes"),  # at (1, -1)
-            (BinaryForm(-3, 1, 5), -1, "yes"),  # at (3, 2)
-            # the unit 163 + 9*sqrt(328) bounds the class search by y <= 1
-            (BinaryForm(2, 0, -41), -1, "no"),
-            # the unit of 149 has y1 = 2113761020: the class bound is
-            # 58,850 rows, past a search bound of 10
-            (BinaryForm(-5, 3, 7), 2, "unknown"),
+            (BinaryForm(2, 1, -2), -1, "yes", 2),  # at (-1, 1)
+            (BinaryForm(-3, 1, 5), -1, "yes", 4),  # at (-3, -2)
+            # the cycle of D = 328 has period 6
+            (BinaryForm(2, 0, -41), -1, "no", 6),
+            # the unit of 149 has y1 = 2113761020, while the cycle of
+            # D = 149 has period 10
+            (BinaryForm(-5, 3, 7), 2, "no", 10),
+            (BinaryForm(-5, 3, 7), -2, "no", 10),
+            # 8 steps are not the period
+            (BinaryForm(-5, 3, 7), -2, "unknown", 8),
         ],
     )
-    def test_pell_class_search_takes_any_leading_coefficient(self, f, t, status):
-        rep = quadform._pell_class_search(f, t, 10)
-        assert rep.status == status
+    def test_cycle_search_takes_any_leading_coefficient(self, f, t, status, steps):
+        rep = quadform._cycle_search(f, t, 8 if status == "unknown" else 10)
+        assert (rep.status, rep.steps) == (status, steps)
         if status == "yes":
             assert f.evaluate(*rep.witness) == t
         else:
-            assert rep == Representation(status, None, REASON_PELL)
+            assert rep == Representation(status, None, REASON_CYCLE, steps)
 
 
 class TestAutomorphGenerator:
