@@ -111,37 +111,35 @@ def zero_witness(f: BinaryForm) -> tuple[int, int]:
 
 
 def pell_fundamental(d: int, y_limit: int) -> Optional[PellSolution]:
-    """Minimal positive solution of x^2 - d*y^2 = 1, via the periodic
-    continued-fraction expansion of sqrt(d); None when a convergent
-    denominator passes y_limit before the solution is reached (its y is
-    then larger). The denominators grow at least as fast as Fibonacci
-    numbers, so the walk takes O(log y_limit) steps.
+    """Minimal positive solution of x^2 - d*y^2 = 1, from one period of
+    the rho-cycle of the reduced principal form (1, 2*a0, a0^2 - d) of
+    discriminant 4d, a0 = isqrt(d); None when the walk passes y_limit
+    before the period ends (the solution's y is then larger).
 
-    The n-th convergent p_cur / q_cur has
-    p_cur^2 - d*q_cur^2 = (-1)^(n+1) * q, with q the expansion's next
-    denominator (Jacobson & Williams, Solving the Pell Equation, 2009),
-    so the solution is at the first odd n with q = 1, and the walk
-    squares no convergent."""
+    The product M of the period's steps is the least proper automorph of
+    that form (Buchmann & Vollmer, Binary Quadratic Forms, ch. 6), up to
+    sign and inverse: [[x - a0*y, (d - a0^2)*y], [y, x + a0*y]] for the
+    least solution (x, y), so |M's lower left entry| is y, and the walk
+    keeps only M's second row (y_prev, y). Each form is reduced, so k has
+    the sign of the form's last coefficient, which alternates, and
+    |k| >= 1: the |y| grow at least as fast as Fibonacci numbers, and the
+    walk takes O(log y_limit) steps."""
     if d <= 0:
         raise ValueError("d must be positive")
     a0 = math.isqrt(d)
     if a0 * a0 == d:
         raise ValueError("d must not be a perfect square")
-    m, q, a = 0, 1, a0
-    p_prev, p_cur = 1, a0
-    q_prev, q_cur = 0, 1
-    odd = False  # the parity of the index n of p_cur / q_cur
+    s = math.isqrt(4 * d)
+    start = form = (1, 2 * a0, a0 * a0 - d)
+    y_prev, y = 0, 1
     while True:
-        m = q * a - m
-        q = (d - m * m) // q
-        if odd and q == 1:
-            return PellSolution(x=p_cur, y=q_cur, D=d)
-        if q_cur > y_limit:
+        form, k = _rho(form, s)
+        y_prev, y = y, k * y - y_prev
+        if form == start:
+            x = math.isqrt(d * y_prev * y_prev + 1)
+            return PellSolution(x=x, y=abs(y_prev), D=d)
+        if abs(y_prev) > y_limit:
             return None
-        a = (a0 + m) // q
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        odd = not odd
 
 
 def _congruence_blocks(f: BinaryForm, t: int) -> bool:
@@ -206,25 +204,29 @@ def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _rho(f: BinaryForm, s: int) -> tuple[BinaryForm, int]:
+def _rho(f: tuple[int, int, int], s: int) -> tuple[tuple[int, int, int], int]:
     """rho(f) = f o [[0, -1], [1, k]] = (c, r, (r^2 - D) / (4c)) and its
     k, for f = (a, b, c) of nonsquare discriminant D and s = isqrt(D):
     r = -b + 2ck lies in (-|c|, |c|] when |c| > s, else in (s - 2|c|, s],
-    that is (sqrt D - 2|c|, sqrt D). det = 1 keeps proper equivalence."""
+    that is (sqrt D - 2|c|, sqrt D). det = 1 keeps proper equivalence.
+    Forms are plain tuples, not BinaryForm: a NamedTuple built per step
+    costs about a quarter of a walk's time."""
     a, b, c = f
     top = max(abs(c), s)
     k = (top - (top + b) % (2 * abs(c)) + b) // (2 * c)
-    return BinaryForm(c, 2 * c * k - b, a + k * (c * k - b)), k
+    return (c, 2 * c * k - b, a + k * (c * k - b)), k
 
 
-def _rho_reduce(f: BinaryForm, s: int) -> tuple[BinaryForm, list[int]]:
+def _rho_reduce(
+    f: tuple[int, int, int], s: int
+) -> tuple[tuple[int, int, int], list[int]]:
     """The first reduced form, |sqrt D - 2|a|| < b < sqrt D, of f's
     rho-orbit, and each step's k. |c| > s gives |c'| <= |c| / 4, as r^2
     and D are at most c^2; |c| < sqrt(D) / 2 makes r's interval the
     reduced one; sqrt(D) / 2 < |c| < sqrt D gives |c'| < sqrt(D) / 2.
     So the loop takes at most log4(|c| / sqrt D) + 3 steps."""
     ks = []
-    while not (s - 2 * abs(f.a) < f.b <= s and 2 * abs(f.a) <= f.b + s):
+    while not (s - 2 * abs(f[0]) < f[1] <= s and 2 * abs(f[0]) <= f[1] + s):
         f, k = _rho(f, s)
         ks.append(k)
     return f, ks
@@ -256,11 +258,11 @@ def _cycle_search(f0: BinaryForm, t0: int, search_bound: int) -> Representation:
     s = math.isqrt(disc)
     start, to_start = _rho_reduce(f0, s)
     targets = dict(  # the reduced (t0, beta, gamma), at most two
-        _rho_reduce(BinaryForm(t0, beta, (beta * beta - disc) // (4 * t0)), s)
+        _rho_reduce((t0, beta, (beta * beta - disc) // (4 * t0)), s)
         for beta in range(2 * abs(t0)) if (beta * beta - disc) % (4 * t0) == 0
     )
     # rev is [::-1]; rev(bwd) walks f0's cycle backwards
-    fwd, bwd, fwd_ks, bwd_ks, steps = start, BinaryForm(*start[::-1]), [], [], 0
+    fwd, bwd, fwd_ks, bwd_ks, steps = start, start[::-1], [], [], 0
     while fwd not in targets and bwd[::-1] not in targets:
         if steps == search_bound:
             return Representation("unknown", reason=REASON_CYCLE, steps=steps)
@@ -306,7 +308,8 @@ def represents_value(
     signature (1,1) exactly when its determinant is negative.
 
     One path: zero criterion / content filter / congruence filter /
-    `_decide_primitive` on the primitive part, at most search_bound steps.
+    `_divisor_search` when the primitive part f0 has a square
+    discriminant, else `_cycle_search` on f0, at most search_bound steps.
     """
     if t not in (0, -2):
         raise ValueError(f"represents_value decides t = 0 and t = -2 only, not {t}")
@@ -322,21 +325,16 @@ def represents_value(
         return Representation(status="no", reason=REASON_CONTENT)
     if _congruence_blocks(f, t):
         return Representation(status="no", reason=REASON_CONGRUENCE)
-    result = _decide_primitive(f0, t // cont, search_bound)
+    if _is_square(f0.discriminant):
+        w = _divisor_search(f0, t // cont)
+        if w is None:
+            return Representation(status="no", reason=REASON_DIVISOR)
+        result = Representation(status="yes", witness=w)
+    else:
+        result = _cycle_search(f0, t // cont, search_bound)
     if result.status == "yes" and f.evaluate(*result.witness) != t:
         raise RuntimeError(f"witness {result.witness} does not represent {t}")
     return result
-
-
-def _decide_primitive(f0: BinaryForm, t0: int, search_bound: int) -> Representation:
-    """A square discriminant goes to the complete `_divisor_search`, any
-    other to the walk of f0's reduced cycle, `_cycle_search`."""
-    if _is_square(f0.discriminant):
-        w = _divisor_search(f0, t0)
-        if w is None:
-            return Representation(status="no", reason=REASON_DIVISOR)
-        return Representation(status="yes", witness=w)
-    return _cycle_search(f0, t0, search_bound)
 
 
 def automorph_generator(

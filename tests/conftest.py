@@ -136,6 +136,25 @@ def brute_pell(d, y_max):
     return None
 
 
+def pell_by_squaring(d, y_limit=None):
+    """The continued-fraction walk that tests p^2 - d*q^2 = 1 at every
+    convergent, as a reference independent of quadform's rho-step; None
+    once a denominator passes y_limit before the solution."""
+    a0 = math.isqrt(d)
+    m, q, a = 0, 1, a0
+    p_prev, p_cur = 1, a0
+    q_prev, q_cur = 0, 1
+    while p_cur * p_cur - d * q_cur * q_cur != 1:
+        if y_limit is not None and q_cur > y_limit:
+            return None
+        m = q * a - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    return p_cur, q_cur
+
+
 def unimodular_inverse(m):
     """The integer inverse of a 2x2 matrix of determinant +-1."""
     d = det(m)

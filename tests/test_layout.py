@@ -301,7 +301,7 @@ LOOP_LEDGER = {
     # u = 1..search_bound^2: hang 1, [[4, 0], [0, -244]], whose least u is
     # 226,153,980, stops at u = 10^6 and makes S5 "unknown"
     ("quadform", "automorph_generator", "for", 1): ("budget", "search_bound"),
-    # the denominators grow at least like Fibonacci numbers up to y_limit
+    # |y| grows at least like the Fibonacci numbers up to y_limit
     ("quadform", "pell_fundamental", "while", 1): ("bits", "log of y_limit"),
 }
 

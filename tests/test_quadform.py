@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from .conftest import (
     brute_pell,
     deadline,
     even_indefinite_rank2_strategy,
+    pell_by_squaring,
     rebuild,
 )
 
@@ -124,23 +126,27 @@ class TestPellFundamental:
                 expected = pell_by_squaring(d, limit)
                 assert (None if sol is None else sol[:2]) == expected, (d, limit)
 
-
-def pell_by_squaring(d, y_limit=None):
-    """The continued-fraction walk that tests p^2 - d*q^2 = 1 at every
-    convergent, as a reference."""
-    a0 = math.isqrt(d)
-    m, q, a = 0, 1, a0
-    p_prev, p_cur = 1, a0
-    q_prev, q_cur = 0, 1
-    while p_cur * p_cur - d * q_cur * q_cur != 1:
-        if y_limit is not None and q_cur > y_limit:
-            return None
-        m = q * a - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return p_cur, q_cur
+    def test_multi_word_units_equal_squaring_loop(self):
+        # the first 50 seeded d in 10^6..10^9 whose least y is below
+        # 10^300, against the referee at limits 10^4300, y - 1, y, y + 1
+        rng = random.Random(1)
+        units = {}
+        while len(units) < 50:
+            d = rng.randint(10**6, 10**9)
+            if math.isqrt(d) ** 2 == d:
+                continue
+            sol = pell_by_squaring(d, 10**300)
+            if sol is not None and sol[1] < 10**300:
+                units[d] = sol
+        # multi-word: 30 of the 4d and every y pass CPython's 30-bit digit
+        assert sum(4 * d >= 2**30 for d in units) == 30
+        assert min(y for _, y in units.values()) > 2**100
+        for d, (x, y) in units.items():
+            assert pell_fundamental(d, 10**4300) == (x, y, d), d
+            for limit in (y - 1, y, y + 1):
+                sol = pell_fundamental(d, limit)
+                expected = pell_by_squaring(d, limit)
+                assert (None if sol is None else sol[:2]) == expected, (d, limit)
 
 
 class TestPellSolution:
@@ -257,8 +263,8 @@ class TestRepresentsValue:
     def test_wrong_witness_is_a_runtime_error(self, monkeypatch):
         # the re-check of a "yes" witness is an explicit check, which
         # python -O keeps
-        wrong = Representation(status="yes", witness=(1, 0))
-        monkeypatch.setattr(quadform, "_decide_primitive", lambda *_: wrong)
+        # [[2, 0], [0, -2]] has a square discriminant
+        monkeypatch.setattr(quadform, "_divisor_search", lambda *_: (1, 0))
         g = GramLattice.from_rows([[2, 0], [0, -2]])
         with pytest.raises(RuntimeError, match=r"\(1, 0\) does not represent -2"):
             represents_value(g, -2)

@@ -27,7 +27,7 @@ from latcert.quadform import (
     represents_value,
 )
 
-from .conftest import census_window, deadline, small_sweep
+from .conftest import census_window, deadline, pell_by_squaring, small_sweep
 
 REF_MODULI = (3, 5, 8, 16)
 # S2 "unknown"s at t = -2 on the census window (450 pairs) by
@@ -53,13 +53,13 @@ def ref_pell_class_search(f, t, search_bound):
     """f(x, y) = t for a != 0 as X^2 - D*y^2 = 4at with X = 2ax + by: a
     scan of y up to Nagell's bound y1*sqrt(|4at| / (2*(x1 - 1))) on the
     whole unit x1 + y1*sqrt D, capped at search_bound rows ("unknown"
-    past the cap; reason None, as the kernel names its own)."""
+    past the cap; reason None, as the kernel names its own). The unit
+    comes from the continued-fraction walk `pell_by_squaring`, not from
+    `quadform.pell_fundamental`, which steps with the rho under test."""
     disc = f.discriminant
     n = 4 * f.a * t
-    # 10^4300 is far above the unit of any discriminant used here
-    fund = quadform.pell_fundamental(disc, 10**4300)
-    assert fund is not None
-    bound_sq = (fund.y * fund.y * abs(n)) // (2 * (fund.x - 1))
+    x1, y1 = pell_by_squaring(disc)
+    bound_sq = (y1 * y1 * abs(n)) // (2 * (x1 - 1))
     y_bound = math.isqrt(bound_sq) + 1
     for y in range(min(y_bound, search_bound) + 1):
         rhs = n + disc * y * y
