@@ -159,6 +159,8 @@ def check_S2_no_0_minus2(g: GramLattice, search_bound: int) -> StepResult:
         details[f"t={target}"] = {"status": rep.status, "reason": rep.reason}
         if rep.steps is not None:  # the rho-steps of the cycle walk
             details[f"t={target}"]["steps"] = rep.steps
+        if rep.prime is not None:  # the prime of a local obstruction
+            details[f"t={target}"]["prime"] = rep.prime
         if rep.status == "yes":
             witnesses.append({"target": target, "vector": rep.witness})
         elif rep.status == "unknown":

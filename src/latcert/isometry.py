@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import NamedTuple, Optional
 
@@ -10,10 +12,10 @@ from .matrices import Matrix, Vector, det, mat_mul, mat_vec, transpose
 
 # Order of an elliptic element of SL(2, Z), keyed by its trace.
 ELLIPTIC_ORDER = {-1: 3, 0: 4, 1: 6}
-# _squarefree_split divides by the integers up to this bound only. Its
-# cube exceeds 4*|det G| (at most 4 * 10^12 on the benchmark's Grams),
-# which bounds the factored part of an isometry's discriminant, so those
-# roots are reduced exactly as without a bound.
+# trial_division divides by the primes up to this bound only. Its cube
+# exceeds 4*|det G| (at most 4 * 10^12 on the benchmark's Grams), which
+# bounds the factored part of an isometry's discriminant, so those roots
+# are reduced exactly as without a bound. S2's local test reads it too.
 TRIAL_DIVISION_BOUND = 2**16
 # Longest orbit segment polarization_orbit walks. Growing entries reach
 # the print limit long before it; entries that do not grow (an isometry
@@ -91,31 +93,43 @@ def order(m: Matrix) -> Optional[int]:
     return None
 
 
+@functools.cache
+def _small_primes() -> tuple[int, ...]:
+    """The primes up to TRIAL_DIVISION_BOUND, sieved once per process."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (TRIAL_DIVISION_BOUND - 1)
+    for k in range(2, math.isqrt(TRIAL_DIVISION_BOUND) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = bytes(len(sieve[k * k :: k]))
+    return tuple(itertools.compress(range(len(sieve)), sieve))
+
+
+def trial_division(n: int) -> tuple[list[int], int]:
+    """(primes, r) with n = r * prod(primes): the prime factors of n > 0
+    up to TRIAL_DIVISION_BOUND, ascending and repeated. It stops at the
+    first p with p^2 > r, so r below the bound squared is 1 or a prime."""
+    primes = []
+    for p in _small_primes():
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            primes.append(p)
+    return primes, n
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
     """n = s^2 * d; returns (s, d). Requires n > 0.
 
-    Trial division strips each prime k while k^3 <= n, up to
-    TRIAL_DIVISION_BOUND. A remainder below k^3 has no prime factor
-    below k, so it is 1, p, p*q or p^2, and only p^2 is not squarefree:
-    isqrt tells it exactly, and d is squarefree. A remainder left at the
-    bound has no prime factor up to it and is kept whole unless it is a
-    perfect square, so d may keep a square factor above the bound
-    squared; in return at most TRIAL_DIVISION_BOUND divisions run.
+    What trial_division leaves below TRIAL_DIVISION_BOUND^3 is 1, p, p*q
+    or p^2, and isqrt tells p^2 exactly, so d is squarefree. A larger
+    remainder is kept whole unless it is a perfect square, so d may keep
+    a square factor above the bound squared.
     """
-    s, d = 1, 1
-    k = 2
-    while k <= TRIAL_DIVISION_BOUND and k * k * k <= n:
-        while n % (k * k) == 0:
-            n //= k * k
-            s *= k
-        if n % k == 0:
-            n //= k
-            d *= k
-        k += 1
-    r = math.isqrt(n)
-    if r * r == n:
-        return s * r, d
-    return s, d * n
+    primes, r = trial_division(n)
+    d = math.prod(p for p in set(primes) if primes.count(p) % 2)
+    if math.isqrt(r) ** 2 != r:
+        d *= r
+    return math.isqrt(n // d), d
 
 
 def char_poly_rank2(m: Matrix) -> CharData:

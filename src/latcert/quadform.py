@@ -1,9 +1,10 @@
 """Diophantine kernel for binary quadratic forms of rank-2 lattices.
 
 Representability is decided only for S2's targets 0 and -2, on one
-bounded path: content and congruence filters, then the divisor search
-of a square discriminant or one walk of the reduced rho-cycle. Both are
-complete; the one "unknown" is a cycle past search_bound rho-steps.
+bounded path: the content filter, the local test at 2 and at the odd
+primes dividing the discriminant, then the divisor search of a square
+discriminant or one walk of the reduced rho-cycle. Both are complete;
+the one "unknown" is a cycle past search_bound rho-steps.
 """
 
 from __future__ import annotations
@@ -11,16 +12,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
+from .isometry import trial_division
 from .lattice import GramLattice, determinant
 from .matrices import Matrix, mat_mul, mat_vec
 
-DEFAULT_MODULI = (3, 5, 16)
 # S2's default budget: the most rho-steps its cycle walk takes.
 DEFAULT_SEARCH_BOUND = 1000
 
 # Reason codes for negative/unknown representability outcomes.
 REASON_CONTENT = "content-divisibility"
-REASON_CONGRUENCE = "congruence-filter"
+REASON_LOCAL = "local-obstruction"
 REASON_NONSQUARE_DISC = "nonsquare-discriminant"
 REASON_CYCLE = "reduced-cycle"
 REASON_DIVISOR = "divisor-search"
@@ -65,6 +66,7 @@ class Representation(NamedTuple):
     witness: Optional[tuple[int, int]] = None
     reason: Optional[str] = None
     steps: Optional[int] = None  # rho-steps walked around the cycle
+    prime: Optional[int] = None  # the prime of a local obstruction
 
 
 def _is_square(n: int) -> bool:
@@ -142,26 +144,40 @@ def pell_fundamental(d: int, y_limit: int) -> Optional[PellSolution]:
             return None
 
 
-def _congruence_blocks(f: BinaryForm, t: int) -> bool:
-    """True if some modulus in DEFAULT_MODULI rules out f(x, y) = t.
-    Each modulus k stops at the first residues x, y with f(x, y) = t
-    (mod k); y needs only 0..k/2, as f(-x, -y) = f(x, y). The modulus 8
-    is left out: 8 divides 16, so f(x, y) = t (mod 16) gives
-    f(x, y) = t (mod 8), and whenever 8 rules t out, so does 16."""
-    return not all(
-        _attains_mod(f.a % k, f.b % k, f.c % k, t % k, k) for k in DEFAULT_MODULI
-    )
+def _local_obstruction(f0: BinaryForm, t0: int) -> Optional[int]:
+    """The least prime p at which f0 = t0 has no p-adic solution, or None,
+    for a primitive f0 of discriminant D > 0 and t0 in {-1, -2}. Every
+    solution is primitive (t0 is squarefree), so a "no" at p rules out
+    every integer one. Tested: 2, and the odd p | D that trial_division
+    finds; at odd p not dividing D, f0 mod p takes every nonzero value.
+    The prime q it may leave over needs no test: f0 fails to represent
+    t0 over Q_v at an even number of places v (Hilbert's product
+    formula), none at infinity, and as q || D, failing over Z_q is
+    failing over Q_q, so a failure at q comes with one at a smaller p.
 
+    Odd p | D: 4a*f0 = (2ax + by)^2 - D*y^2, and p | a gives p | b, so
+    f0 = alpha*L^2 (mod p), L linear, alpha = a (or c when p | a) a unit.
+    So t0 is a value mod p exactly when (alpha*t0 | p) = 1 (Euler's
+    criterion); the gradient 2*alpha*L*grad(L) is then a unit, and
+    Hensel's lemma lifts the solution.
 
-def _attains_mod(a: int, b: int, c: int, t: int, k: int) -> bool:
-    """Whether a*x^2 + b*x*y + c*y^2 = t (mod k) for some x, 0 <= y <= k/2."""
-    ys = range(k // 2 + 1)
-    for x in range(k):
-        rest, bx = a * x * x - t, b * x
-        for y in ys:
-            if not (rest + y * (bx + c * y)) % k:
-                return True
-    return False
+    p = 2, e = v2(t0): if f0(w) = t0 (mod 2^(e+3)) at a primitive w,
+    f0(w) / t0 is a 2-adic unit = 1 (mod 8), so it is u^2 for a unit u,
+    and f0(w / u) = t0. So primitive residues mod m = 2^(e+3) decide,
+    and as odd u have u^2 = 1 (mod 8), the points (1, y) and (2y, 1)
+    stand for them all.
+    """
+    m = 8 * (t0 & -t0)
+    if all(
+        (f0.evaluate(1, y) - t0) % m and (f0.evaluate(2 * y, 1) - t0) % m
+        for y in range(m)
+    ):
+        return 2
+    for p in trial_division(f0.discriminant)[0]:
+        alpha = f0.c if f0.a % p == 0 else f0.a
+        if p > 2 and pow(alpha * t0, (p - 1) // 2, p) == p - 1:
+            return p
+    return None
 
 
 def _divisor_search(f: BinaryForm, t: int) -> Optional[tuple[int, int]]:
@@ -307,9 +323,10 @@ def represents_value(
     targets 0 and -2; any other t is a ValueError. A rank-2 lattice has
     signature (1,1) exactly when its determinant is negative.
 
-    One path: zero criterion / content filter / congruence filter /
-    `_divisor_search` when the primitive part f0 has a square
-    discriminant, else `_cycle_search` on f0, at most search_bound steps.
+    One path: zero criterion / content filter / `_local_obstruction`
+    (a "no" names its prime) / `_divisor_search` when the primitive part
+    f0 has a square discriminant, else `_cycle_search` on f0, at most
+    search_bound steps.
     """
     if t not in (0, -2):
         raise ValueError(f"represents_value decides t = 0 and t = -2 only, not {t}")
@@ -323,15 +340,16 @@ def represents_value(
     f0, cont = primitive_part(f)
     if t % cont != 0:
         return Representation(status="no", reason=REASON_CONTENT)
-    if _congruence_blocks(f, t):
-        return Representation(status="no", reason=REASON_CONGRUENCE)
+    t0 = t // cont
+    if (prime := _local_obstruction(f0, t0)) is not None:
+        return Representation(status="no", reason=REASON_LOCAL, prime=prime)
     if _is_square(f0.discriminant):
-        w = _divisor_search(f0, t // cont)
+        w = _divisor_search(f0, t0)
         if w is None:
             return Representation(status="no", reason=REASON_DIVISOR)
         result = Representation(status="yes", witness=w)
     else:
-        result = _cycle_search(f0, t // cont, search_bound)
+        result = _cycle_search(f0, t0, search_bound)
     if result.status == "yes" and f.evaluate(*result.witness) != t:
         raise RuntimeError(f"witness {result.witness} does not represent {t}")
     return result

@@ -260,11 +260,18 @@ LOOP_LEDGER = {
     ("discgroup", "smith_normal_form", "while", 2): ("bits", "Euclid's steps"),
     # n is 1, 2, 3, 4 or 6 on S5's path (proved in its docstring)
     ("discgroup", "action_order", "for", 1): ("constant", "n <= 6"),
-    ("isometry", "_squarefree_split", "while", 1): (
+    # the sieve's k <= sqrt(bound); trial division over the primes up to
+    # the bound, one pass of the inner loop per prime factor of n
+    ("isometry", "_small_primes", "for", 1): (
         "budget",
         "isometry.TRIAL_DIVISION_BOUND",
     ),
-    ("isometry", "_squarefree_split", "while", 2): ("bits", "one pass per k^2 | n"),
+    ("isometry", "trial_division", "for", 1): (
+        "budget",
+        "isometry.TRIAL_DIVISION_BOUND",
+    ),
+    ("isometry", "trial_division", "while", 1): ("bits", "one pass per p | n"),
+    ("isometry", "_squarefree_split", "genexp", 1): ("bits", "one per p | n"),
     ("isometry", "polarization_orbit", "for", 1): ("budget", "isometry.MAX_K_MAX"),
     ("lattice", "is_integer_array", "for", 1): ("bits", "one pass over the input"),
     ("lattice", "is_primitive", "genexp", 1): ("constant", "2 entries"),
@@ -282,12 +289,9 @@ LOOP_LEDGER = {
     ("oracle", "brute_low_degree", "for", 2): ("budget", "oracle.MAX_BOX_RADIUS"),
     ("oracle", "brute_action_order.reduce", "genexp", 1): ("constant", "2 rows"),
     ("oracle", "brute_action_order.reduce", "genexp", 2): ("constant", "2 entries"),
-    ("quadform", "_congruence_blocks", "genexp", 1): (
-        "budget",
-        "quadform.DEFAULT_MODULI",
-    ),
-    ("quadform", "_attains_mod", "for", 1): ("budget", "quadform.DEFAULT_MODULI"),
-    ("quadform", "_attains_mod", "for", 2): ("budget", "quadform.DEFAULT_MODULI"),
+    # the 2-adic scan: y < 2^(v2(t0) + 3) <= 16
+    ("quadform", "_local_obstruction", "genexp", 1): ("constant", "y < 16"),
+    ("quadform", "_local_obstruction", "for", 1): ("bits", "one pass per p | D"),
     ("quadform", "_divisor_search", "for", 1): ("constant", "d1 in 1, -1, 2, -2"),
     # |c| quarters while it is above sqrt D, then at most 3 more steps
     # (proof in the docstring)

@@ -12,6 +12,7 @@ from latcert.matrices import mat_vec
 from latcert.quadform import (
     REASON_CONTENT,
     REASON_DIVISOR,
+    REASON_LOCAL,
     REASON_NONSQUARE_DISC,
     REASON_CYCLE,
     BinaryForm,
@@ -184,9 +185,16 @@ class TestRepresentsValue:
         assert rep.status == "no" and rep.reason == REASON_NONSQUARE_DISC
 
     def test_square_discriminant_no_names_the_divisor_search(self):
-        # -8x^2 + 11xy factors over Z; no Pell walk runs
-        g = GramLattice.from_rows([[-16, 11], [11, 0]])
+        # -4x^2 + 11xy factors over Z and meets no local obstruction; no
+        # Pell walk runs
+        g = GramLattice.from_rows([[-8, 11], [11, 0]])
         assert represents_value(g, -2) == Representation("no", None, REASON_DIVISOR)
+
+    def test_local_no_names_its_prime(self):
+        # -8x^2 + 11xy = -1 needs 8 to be a square mod 11
+        g = GramLattice.from_rows([[-16, 11], [11, 0]])
+        rep = represents_value(g, -2)
+        assert rep == Representation("no", None, REASON_LOCAL, None, 11)
 
     def test_no_small_unit_value_is_decided_on_the_reduced_cycle(self):
         # -8x^2 + 11xy + 3y^2 takes neither 1 nor -1 with |x|, |y| <= 20;

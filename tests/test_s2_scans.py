@@ -1,5 +1,6 @@
-"""S2's kernels against independent references: the congruence filter
-against the set-based filter over the moduli 3, 5, 8 and 16; the walk
+"""S2's kernels against independent references: each local "no" against
+a residue scan at its prime, the set-based congruence filter over the
+moduli 3, 5, 8 and 16 and the 2-adic modulus against lifting; the walk
 of the reduced cycle against a Pell-class search that computes the
 whole fundamental unit and scans y up to Nagell's class bound, wherever
 that reference decides; the rho-reduction for being reduced, properly
@@ -17,6 +18,7 @@ import random
 import pytest
 
 from latcert import quadform
+from latcert.isometry import trial_division
 from latcert.lattice import GramLattice, norm
 from latcert.matrices import det, from_rows, mat_mul, transpose
 from latcert.oracle import brute_values, required_values_radius
@@ -33,7 +35,7 @@ REF_MODULI = (3, 5, 8, 16)
 # S2 "unknown"s at t = -2 on the census window (450 pairs) by
 # search_bound; at the default bound the window and the sweep (2,361
 # Grams) have none: their longest walk to a decision is 69 steps.
-CENSUS_UNKNOWNS = {1: 142, 10: 64, 30: 14, quadform.DEFAULT_SEARCH_BOUND: 0}
+CENSUS_UNKNOWNS = {1: 111, 10: 47, 30: 9, quadform.DEFAULT_SEARCH_BOUND: 0}
 
 
 def ref_congruence_blocks(f, t):
@@ -176,16 +178,136 @@ def assert_reduction(f):
     assert len(ks) <= 3 or 16 ** (len(ks) - 3) * disc <= f.c * f.c, f
 
 
-class TestCongruenceFilter:
-    def test_residues_mod_240_match_set_filter(self):
-        # 240 = 3 * 5 * 16 is the period of every modulus in both filters
-        rng = random.Random(83)
-        for _ in range(6000):
-            a, b, c, t = (rng.randrange(240) for _ in range(4))
+def ref_solvable_mod_p(f, t, p):
+    """Whether f(x, y) = t (mod p) at some (x, y) != (0, 0) mod the odd
+    prime p: f(l*v) = l^2 * f(v), so it is enough that t / f(v) be a
+    nonzero square at one of the p + 1 points (1, y) and (0, 1)."""
+    squares = {x * x % p for x in range(1, p)}
+    values = [f.evaluate(1, y) % p for y in range(p)] + [f.c % p]
+    return any(t * pow(v, -1, p) % p in squares for v in values if v)
+
+
+def ref_solvable_mod_2k(f, t, k):
+    """Whether f(x, y) = t (mod 2^k) at some (x, y) not both even, by
+    lifting the solutions mod 2^j one bit at a time: each solution mod
+    2^(j + 1) reduces to one mod 2^j."""
+
+    def lifts(x, y, j):
+        if j == k:
+            return True
+        step, m = 2**j, 2 ** (j + 1)
+        return any(
+            lifts(x + dx, y + dy, j + 1)
+            for dx in (0, step)
+            for dy in (0, step)
+            if (f.evaluate(x + dx, y + dy) - t) % m == 0
+        )
+
+    starts = ((1, 0), (0, 1), (1, 1))
+    return any(lifts(x, y, 1) for x, y in starts if (f.evaluate(x, y) - t) % 2 == 0)
+
+
+def v2(t):
+    return (t & -t).bit_length() - 1
+
+
+def assert_local_no(f0, t0, p):
+    """A local "no" at p, checked by a scan of its own: no (x, y) that
+    is primitive mod p, or mod 2^(2*v2(t0) + 3) for p = 2, solves
+    f0 = t0."""
+    if p == 2:
+        m = 2 ** (2 * v2(t0) + 3)
+        pairs = ((x, y) for x in range(m) for y in range(m) if x % 2 or y % 2)
+        assert all((f0.evaluate(x, y) - t0) % m for x, y in pairs), (f0, t0)
+    else:
+        assert f0.discriminant % p == 0, (f0, t0, p)
+        assert not ref_solvable_mod_p(f0, t0, p), (f0, t0, p)
+
+
+def seeded_residue_forms(seed, count):
+    """`count` primitive forms with a, b, c drawn from -120..119, a whole
+    residue system mod 240 = 3 * 5 * 16, and D > 0, each with t0 = -1
+    or -2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        f = BinaryForm(*(rng.randrange(-120, 120) for _ in range(3)))
+        if f.discriminant > 0 and quadform.content(f) == 1:
+            out.append((f, rng.choice((-1, -2))))
+    return out
+
+
+class TestLocalObstruction:
+    @pytest.mark.parametrize("grams", [census_window, small_sweep])
+    def test_every_local_no_of_the_pipeline_is_rechecked(self, grams):
+        # every t = -2 query: a local "no" names a prime at which a scan
+        # finds no solution, and each query the reference filter blocks
+        # (past the content filter) is a local "no"
+        local = blocked = 0
+        for rows in grams():
+            g = GramLattice(rows)
+            f = quadform.to_binary_form(g)
+            f0, cont = quadform.primitive_part(f)
+            rep = represents_value(g, -2)
+            if rep.reason == quadform.REASON_LOCAL:
+                assert rep.status == "no" and rep.prime is not None, rows
+                assert_local_no(f0, -2 // cont, rep.prime)
+                local += 1
+            else:
+                assert rep.prime is None, rows
+            if -2 % cont == 0 and ref_congruence_blocks(f, -2):
+                assert rep.reason == quadform.REASON_LOCAL, rows
+                blocked += 1
+        assert local > blocked > 100
+
+    def test_seeded_residue_forms(self):
+        # 6,000 seeded forms: every local "no" is rechecked, and every form
+        # the reference filter blocks is one
+        primes = set()
+        for f, t0 in seeded_residue_forms(83, 6000):
+            p = quadform._local_obstruction(f, t0)
+            if p is not None:
+                assert_local_no(f, t0, p)
+                primes.add(p)
+            if ref_congruence_blocks(f, t0):
+                assert p is not None, (f, t0)
+        assert {2, 3, 5, 7, 11, 13} <= primes and max(primes) > 100, primes
+
+    def test_the_prime_left_over_needs_no_test(self):
+        # _local_obstruction skips the prime q that trial division leaves
+        # over; when q rules t0 out, so does a smaller prime (Hilbert's
+        # product formula)
+        ruled_out = 0
+        for f, t0 in seeded_residue_forms(89, 3000):
+            q = trial_division(f.discriminant)[1]
+            if 2 < q < 2000 and not ref_solvable_mod_p(f, t0, q):
+                assert quadform._local_obstruction(f, t0) < q, (f, t0, q)
+                ruled_out += 1
+        assert ruled_out > 500
+
+    def test_two_adic_modulus_suffices(self):
+        # for every primitive form with |a|, |b|, |c| <= 12: solvability
+        # mod 2^(2e + 3), e = v2(t0), is solvability mod 2^(2e + 5) and
+        # mod 2^(e + 3), the modulus _local_obstruction scans; for b odd
+        # it is the parity rule, and _local_obstruction says 2 exactly
+        # when it fails
+        checked = 0
+        for a, b, c in itertools.product(range(-12, 13), repeat=3):
             f = BinaryForm(a, b, c)
-            assert quadform._congruence_blocks(f, t) == ref_congruence_blocks(
-                f, t
-            ), (a, b, c, t)
+            if math.gcd(a, b, c) != 1:
+                continue
+            for t0 in (-1, -2):
+                e = v2(t0)
+                solvable = ref_solvable_mod_2k(f, t0, 2 * e + 5)
+                assert ref_solvable_mod_2k(f, t0, 2 * e + 3) == solvable, (f, t0)
+                assert ref_solvable_mod_2k(f, t0, e + 3) == solvable, (f, t0)
+                if b % 2:
+                    assert solvable == (t0 % 2 == 1 or a % 2 == 0 or c % 2 == 0)
+                if f.discriminant > 0:
+                    two = quadform._local_obstruction(f, t0) == 2
+                    assert two == (not solvable), (f, t0)
+                    checked += 1
+        assert checked > 10000
 
 
 class TestReduce:
@@ -236,7 +358,7 @@ class TestCycleSearch:
         for rows in grams():
             f = quadform.to_binary_form(GramLattice(rows))
             f0, cont = quadform.primitive_part(f)
-            if -2 % cont or quadform._congruence_blocks(f, -2):
+            if -2 % cont or quadform._local_obstruction(f0, -2 // cont):
                 continue
             if quadform._is_square(f0.discriminant):
                 continue
@@ -304,13 +426,14 @@ class TestRepresentsValue:
     def test_a_no_stays_no_in_every_basis(self):
         # each "no" at -2 of the census window and each "no" of the huge
         # seeded Grams, in bases P = [[x, -p], [y, q]] with |x|, |y| <=
-        # 10^6: the same answer, and a walk's "no" the same period, an
-        # invariant of the class (49 census "no"s are the walk's).
+        # 10^6: the same answer, a walk's "no" the same period, an
+        # invariant of the class, and a local "no" the same reason and
+        # prime (18 of these "no"s are the walk's, 180 local).
         rng = random.Random(88)
         huge = seeded_grams(85, 60, 5 * 10**11, 10**12)
         queries = [(rows, -2) for rows in census_window()]
         queries += [(rows, t) for rows in huge for t in (0, -2)]
-        walked = 0
+        walked = local = 0
         for rows, t in queries:
             g = GramLattice(rows)
             here = represents_value(g, t)
@@ -323,7 +446,8 @@ class TestRepresentsValue:
                 moved = GramLattice(mat_mul(transpose(pm), mat_mul(g.entries, pm)))
                 assert represents_value(moved, t) == here, (rows, pm, t)
             walked += here.steps is not None
-        assert walked == 49
+            local += here.prime is not None
+        assert (walked, local) == (18, 180)
 
     def test_huge_grams_with_a_small_witness_say_yes(self):
         # [[-2, b], [b, 2c]] in a basis that moves e1 to a point w with
